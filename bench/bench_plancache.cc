@@ -124,6 +124,7 @@ int Run() {
     // PREPARE once; the compile it performs warms the cache for every
     // thread count (the plan is thread-count independent).
     QueryOptions prep_options(ExecutionStrategy::kMagic);
+    prep_options.tracer = obs.tracer();
     if (auto r = db.Query(w.prepare, prep_options); !r.ok()) {
       std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
                    r.status().ToString().c_str());
@@ -132,6 +133,7 @@ int Run() {
     for (int threads : {1, 2, 8}) {
       QueryOptions options(ExecutionStrategy::kMagic);
       options.num_threads = threads;
+      options.tracer = obs.tracer();
       Measured cold, cached;
       for (int r = 0; r < reps; ++r) {
         // Interleave cold/cached so machine-load drift spreads over both.

@@ -49,9 +49,10 @@ struct Measured {
 /// One full Query() execution (parse → optimize → snapshot → execute), the
 /// path a sys scan actually takes.
 Result<Measured> MeasureOnce(Database* db, const std::string& sql,
-                             int threads) {
+                             int threads, Tracer* tracer) {
   QueryOptions options;
   options.num_threads = threads;
+  options.tracer = tracer;
   auto start = std::chrono::steady_clock::now();
   SM_ASSIGN_OR_RETURN(QueryResult r, db->Query(sql, options));
   auto end = std::chrono::steady_clock::now();
@@ -69,12 +70,12 @@ Result<Measured> MeasureOnce(Database* db, const std::string& sql,
 /// machine-load drift over both sides. Work and rows come from the last
 /// run of each side (deterministic, so any run's values are THE values).
 Status MeasurePair(Database* db, const std::string& sql, int threads,
-                   int reps, Measured* off, Measured* on) {
+                   int reps, Tracer* tracer, Measured* off, Measured* on) {
   const SystemTableRegistry* registry = db->system_tables();
   for (int r = 0; r < reps; ++r) {
     for (bool attached : {false, true}) {
       db->catalog()->AttachSystemRegistry(attached ? registry : nullptr);
-      Result<Measured> m = MeasureOnce(db, sql, threads);
+      Result<Measured> m = MeasureOnce(db, sql, threads, tracer);
       db->catalog()->AttachSystemRegistry(registry);
       SM_RETURN_IF_ERROR(m.status());
       Measured* best = attached ? on : off;
@@ -171,7 +172,7 @@ int Run() {
             &db,
             sys_side ? "SELECT * FROM sys.columns"
                      : "SELECT * FROM stored_columns",
-            1);
+            1, obs.tracer());
         if (!m.ok()) {
           std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
           return 1;
@@ -235,7 +236,8 @@ int Run() {
   for (const Workload& w : workloads) {
     for (int threads : ladder) {
       Measured off, on;
-      if (Status st = MeasurePair(&db, w.sql, threads, reps, &off, &on);
+      if (Status st = MeasurePair(&db, w.sql, threads, reps, obs.tracer(),
+                                  &off, &on);
           !st.ok()) {
         std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
                      st.ToString().c_str());
@@ -288,7 +290,7 @@ int Run() {
       for (int r = 0; r < reps && st.ok(); ++r) {
         for (bool tracked : {false, true}) {
           db.EnableProgressTracking(tracked);
-          Result<Measured> m = MeasureOnce(&db, w.sql, threads);
+          Result<Measured> m = MeasureOnce(&db, w.sql, threads, obs.tracer());
           db.EnableProgressTracking(true);
           if (!m.ok()) {
             st = m.status();

@@ -81,6 +81,19 @@ print(f"{path}: OK ({len(events)} events)")
 PY
 done
 
+# End-to-end identity: perfbench's traced run answers half of each
+# workload through Database::Query and half through its own decomposed
+# copy of the compile/execute path (parse, build, optimize, plan cache,
+# bind, execute), and exits non-zero on any rows / work / governor peak /
+# plan-cache counter difference. Running it here makes any drift between
+# the engine's one compile path and that copy fail the check (~1 minute
+# for all three workloads, build included).
+echo "== perfbench traced identity runs =="
+for workload in report_views adhoc_lookups prepared_oltp; do
+  python3 "${ROOT}/perfbench/run.py" --workload "${workload}" --seed 7 \
+    --seconds 2 --trace 1
+done
+
 # ThreadSanitizer battery: a separate build tree (TSan and ASan cannot
 # coexist) covering the parallel subsystem — the worker-pool/determinism
 # tests, the governor's cross-thread accounting and cancellation paths,

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -149,8 +150,15 @@ int Value::CompareTotal(const Value& a, const Value& b) {
 
 namespace {
 
+Status IntegerOverflow(const char* op, const Value& a, const Value& b) {
+  return Status::ExecutionError(StrCat("integer overflow: ", a.ToString(),
+                                       " ", op, " ", b.ToString()));
+}
+
+// `fi` returns true when the exact int64 result does not fit (the
+// __builtin_*_overflow convention); the error is typed, never a wrap.
 Result<Value> NumericBinary(const Value& a, const Value& b, const char* op,
-                            int64_t (*fi)(int64_t, int64_t),
+                            bool (*fi)(int64_t, int64_t, int64_t*),
                             double (*fd)(double, double)) {
   if (a.is_null() || b.is_null()) return Value::Null();
   if (!a.is_numeric() || !b.is_numeric()) {
@@ -159,7 +167,11 @@ Result<Value> NumericBinary(const Value& a, const Value& b, const char* op,
                ValueKindName(a.kind()), " and ", ValueKindName(b.kind())));
   }
   if (a.kind() == ValueKind::kInt && b.kind() == ValueKind::kInt) {
-    return Value::Int(fi(a.int_value(), b.int_value()));
+    int64_t out = 0;
+    if (fi(a.int_value(), b.int_value(), &out)) {
+      return IntegerOverflow(op, a, b);
+    }
+    return Value::Int(out);
   }
   return Value::Double(fd(a.AsDouble(), b.AsDouble()));
 }
@@ -168,19 +180,28 @@ Result<Value> NumericBinary(const Value& a, const Value& b, const char* op,
 
 Result<Value> Value::Add(const Value& a, const Value& b) {
   return NumericBinary(
-      a, b, "+", [](int64_t x, int64_t y) { return x + y; },
+      a, b, "+",
+      [](int64_t x, int64_t y, int64_t* out) {
+        return __builtin_add_overflow(x, y, out);
+      },
       [](double x, double y) { return x + y; });
 }
 
 Result<Value> Value::Subtract(const Value& a, const Value& b) {
   return NumericBinary(
-      a, b, "-", [](int64_t x, int64_t y) { return x - y; },
+      a, b, "-",
+      [](int64_t x, int64_t y, int64_t* out) {
+        return __builtin_sub_overflow(x, y, out);
+      },
       [](double x, double y) { return x - y; });
 }
 
 Result<Value> Value::Multiply(const Value& a, const Value& b) {
   return NumericBinary(
-      a, b, "*", [](int64_t x, int64_t y) { return x * y; },
+      a, b, "*",
+      [](int64_t x, int64_t y, int64_t* out) {
+        return __builtin_mul_overflow(x, y, out);
+      },
       [](double x, double y) { return x * y; });
 }
 
@@ -191,6 +212,11 @@ Result<Value> Value::Divide(const Value& a, const Value& b) {
   }
   if (a.kind() == ValueKind::kInt && b.kind() == ValueKind::kInt) {
     if (b.int_value() == 0) return Status::ExecutionError("division by zero");
+    // The one int64 quotient that does not fit; the hardware traps on it.
+    if (a.int_value() == std::numeric_limits<int64_t>::min() &&
+        b.int_value() == -1) {
+      return IntegerOverflow("/", a, b);
+    }
     return Value::Int(a.int_value() / b.int_value());
   }
   if (b.AsDouble() == 0.0) return Status::ExecutionError("division by zero");
@@ -199,7 +225,13 @@ Result<Value> Value::Divide(const Value& a, const Value& b) {
 
 Result<Value> Value::Negate(const Value& a) {
   if (a.is_null()) return Value::Null();
-  if (a.kind() == ValueKind::kInt) return Value::Int(-a.int_value());
+  if (a.kind() == ValueKind::kInt) {
+    if (a.int_value() == std::numeric_limits<int64_t>::min()) {
+      return Status::ExecutionError(
+          StrCat("integer overflow: -(", a.ToString(), ")"));
+    }
+    return Value::Int(-a.int_value());
+  }
   if (a.kind() == ValueKind::kDouble) return Value::Double(-a.double_value());
   return Status::ExecutionError("unary '-' requires a numeric operand");
 }

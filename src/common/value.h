@@ -76,8 +76,9 @@ class Value {
   }
 
   /// Arithmetic with SQL NULL propagation and int->double promotion.
-  /// Division of two ints is integer division unless it would truncate?
-  /// No: we follow SQL and keep integer division for INT/INT.
+  /// INT/INT is integer division, as in SQL. An INT result that does not
+  /// fit in int64 (including INT64_MIN / -1 and -INT64_MIN) is a typed
+  /// ExecutionError, never a wrapped value.
   static Result<Value> Add(const Value& a, const Value& b);
   static Result<Value> Subtract(const Value& a, const Value& b);
   static Result<Value> Multiply(const Value& a, const Value& b);

@@ -294,18 +294,26 @@ Result<PipelineResult> Database::OptimizeBlob(const AstBlob& blob,
   return OptimizeQuery(std::move(graph), &catalog_, popts);
 }
 
-Result<PipelineResult> Database::Explain(const std::string& sql,
-                                         const QueryOptions& options) {
-  SM_ASSIGN_OR_RETURN(std::unique_ptr<AstBlob> blob, ParseQuery(sql));
-  // sys.* names resolve against a snapshot scoped to this call; the
-  // returned graph's sys base tables are gone once it returns, so callers
-  // executing the graph themselves must not reference sys tables.
+// Per-query sys.* snapshot: each referenced system table materializes
+// once, at its first scan, from live engine state, and the snapshot dies
+// when `fn` returns.
+template <typename Fn>
+auto Database::WithSysSnapshot(const QueryOptions& options, Fn&& fn) {
   SysSnapshot snapshot(catalog_.system_registry(), MakeSysState(options));
   std::optional<SysSnapshotScope> scope;
   if (catalog_.system_registry() != nullptr) {
     scope.emplace(&catalog_, &snapshot);
   }
-  return OptimizeBlob(*blob, options);
+  return fn();
+}
+
+Result<PipelineResult> Database::Explain(const std::string& sql,
+                                         const QueryOptions& options) {
+  SM_ASSIGN_OR_RETURN(std::unique_ptr<AstBlob> blob, ParseQuery(sql));
+  // The returned graph's sys base tables are gone once this returns, so
+  // callers executing the graph themselves must not reference sys tables.
+  return WithSysSnapshot(options,
+                         [&] { return OptimizeBlob(*blob, options); });
 }
 
 namespace {
@@ -429,11 +437,9 @@ void RecordQErrors(const QueryGraph& graph, const Catalog* catalog,
 
 }  // namespace
 
-Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
-                                          const QueryOptions& options,
-                                          bool collect_box_stats,
-                                          ProgressTracker* progress,
-                                          GovernorStats* governor_out) {
+Status Database::Execute(CompiledPlan* plan, const QueryOptions& options,
+                         bool analyze, ProgressTracker* progress,
+                         GovernorStats* governor_out) {
   // Internal introspection queries run unbudgeted (a tiny session row
   // limit must not abort the dashboard displaying it) and write no
   // metrics; sys.governor still *reports* options.budget.
@@ -445,12 +451,13 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
   exec_options.memoize_correlation =
       options.strategy != ExecutionStrategy::kCorrelated;
   exec_options.tracer = options.tracer;
-  exec_options.collect_box_stats = collect_box_stats;
+  exec_options.collect_box_stats = analyze;
   exec_options.num_threads = options.num_threads;
   exec_options.morsel_size = options.morsel_size;
   exec_options.governor = &governor;
   exec_options.progress = progress;
-  Executor executor(pipeline.graph.get(), &catalog_, exec_options);
+  if (progress != nullptr) progress->SetPhase(QueryPhase::kExecute);
+  Executor executor(plan->graph.get(), &catalog_, exec_options);
   // Not SM_ASSIGN_OR_RETURN: governor stats and abort metrics must be
   // recorded for failing runs too — aborted queries are exactly the ones
   // the governor dashboards exist for.
@@ -460,22 +467,15 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
   RecordGovernorMetrics(metrics, governor,
                         run.ok() ? Status::OK() : run.status());
   if (!run.ok()) return run.status();
-  Table table = std::move(*run);
 
-  QueryResult result;
+  QueryResult& result = plan->result;
   result.governor = *governor_out;
-  result.table = std::move(table);
+  result.table = std::move(*run);
   result.exec_stats = executor.stats();
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-  result.rule_fires = std::move(pipeline.rule_fires);
   result.box_stats = executor.box_stats();
   result.result_rows = result.table.num_rows();
   if (options.capture_plan_report) {
-    result.plan_report = PrintGraph(*pipeline.graph);
+    result.plan_report = PrintGraph(*plan->graph);
   }
   RecordExecMetrics(metrics, result.exec_stats, result.result_rows);
   if (result.emst_applied) {
@@ -485,7 +485,7 @@ Result<QueryResult> Database::RunPipeline(PipelineResult pipeline,
         options.tracer);
     result.decision_audited = true;
   }
-  return result;
+  return Status::OK();
 }
 
 namespace {
@@ -532,42 +532,65 @@ int CountParams(const QueryGraph& graph) {
   return max_index + 1;
 }
 
-// Rebuilds a PipelineResult from a cache entry: a fresh clone of the
-// master graph plus the compile-time diagnostics. rule_fires stays empty —
-// no rewrite rule runs on the cached path, and tests assert exactly that.
-PipelineResult PipelineFromCache(const CachedPlan& plan) {
-  PipelineResult pipeline;
-  pipeline.graph = plan.graph->Clone();
-  pipeline.cost_no_emst = plan.cost_no_emst;
-  pipeline.cost_with_emst = plan.cost_with_emst;
-  pipeline.emst_applied = plan.emst_applied;
-  pipeline.emst_chosen = plan.emst_chosen;
-  pipeline.rewrite_applications = plan.rewrite_applications;
-  return pipeline;
-}
-
 }  // namespace
 
-int Database::CachePlan(const PipelineResult& pipeline,
-                        const std::string& norm_sql,
-                        const std::string& fingerprint, int num_params) {
-  if (ReferencesSysTables(*pipeline.graph)) return 0;
-  CachedPlan plan;
-  plan.graph = pipeline.graph->Clone();
-  plan.cost_no_emst = pipeline.cost_no_emst;
-  plan.cost_with_emst = pipeline.cost_with_emst;
-  plan.emst_applied = pipeline.emst_applied;
-  plan.emst_chosen = pipeline.emst_chosen;
-  plan.rewrite_applications = pipeline.rewrite_applications;
-  plan.num_params = num_params;
-  for (const std::string& table : ReferencedBaseTables(*pipeline.graph)) {
-    plan.pins.push_back({table, catalog_.TableVersion(table),
-                         catalog_.LastAnalyzeVersion(table)});
+
+Result<Database::CompiledPlan> Database::Compile(const AstBlob& blob,
+                                                 const std::string& cache_sql,
+                                                 int num_params,
+                                                 const QueryOptions& options,
+                                                 ProgressTracker* progress) {
+  const bool use_cache = !cache_sql.empty() && plan_cache_.enabled();
+  std::string norm_sql;
+  std::string fingerprint;
+  PlanCache::LookupResult lookup;
+  if (use_cache) {
+    norm_sql = PlanCache::NormalizeSql(cache_sql);
+    fingerprint = PlanCache::Fingerprint(EffectivePipelineOptions(options));
+    lookup = plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
   }
-  plan.ddl_version = catalog_.ddl_version();
-  plan.normalized_sql = norm_sql;
-  plan.fingerprint = fingerprint;
-  return plan_cache_.Insert(std::move(plan));
+  CompiledPlan plan;
+  PlanChoice& choice = plan.result;
+  int evictions = 0;
+  if (lookup.plan != nullptr) {
+    // rule_fires stays empty: no rewrite rule runs on the cached path, and
+    // tests assert exactly that.
+    plan.graph = lookup.plan->graph->Clone();
+    choice = *lookup.plan;
+    plan.result.plan_cache_hit = true;
+  } else {
+    SM_ASSIGN_OR_RETURN(PipelineResult pipeline, OptimizeBlob(blob, options));
+    plan.graph = std::move(pipeline.graph);
+    choice = pipeline;
+    plan.result.rule_fires = std::move(pipeline.rule_fires);
+    // Plans over sys.* tables are never cached: those materialize per
+    // query, so no version pin makes them reusable.
+    if (use_cache && !ReferencesSysTables(*plan.graph)) {
+      CachedPlan entry;
+      entry.graph = plan.graph->Clone();
+      static_cast<PlanChoice&>(entry) = choice;
+      entry.num_params =
+          num_params >= 0 ? num_params : CountParams(*plan.graph);
+      for (const std::string& table : ReferencedBaseTables(*plan.graph)) {
+        entry.pins.push_back({table, catalog_.TableVersion(table),
+                              catalog_.LastAnalyzeVersion(table)});
+      }
+      entry.ddl_version = catalog_.ddl_version();
+      entry.normalized_sql = std::move(norm_sql);
+      entry.fingerprint = std::move(fingerprint);
+      evictions = plan_cache_.Insert(std::move(entry));
+    }
+  }
+  if (use_cache) {
+    RecordPlanCacheMetrics(options.internal ? nullptr : options.metrics,
+                           plan.result.plan_cache_hit, lookup.invalidated,
+                           evictions);
+  }
+  if (progress != nullptr && plan.graph->top() != nullptr) {
+    CardinalityEstimator est(plan.graph.get(), &catalog_);
+    progress->SetEstRows(est.Estimate(plan.graph->top()).rows);
+  }
+  return plan;
 }
 
 Result<QueryResult> Database::RunExplain(const AstExplain& ex,
@@ -575,80 +598,17 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
                                          const QueryOptions& options,
                                          ProgressTracker* progress,
                                          GovernorStats* governor_out) {
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
-  bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  if (options.use_plan_cache && plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    PlanCache::LookupResult lookup =
-        plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-    if (lookup.plan != nullptr) {
-      plan_cache_hit = true;
-      pipeline = PipelineFromCache(*lookup.plan);
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-    } else {
-      SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*ex.query, options));
-      int evictions =
-          CachePlan(pipeline, norm_sql, fingerprint, CountParams(*pipeline.graph));
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                             evictions);
-    }
-  } else {
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*ex.query, options));
-  }
-  if (progress != nullptr && pipeline.graph->top() != nullptr) {
-    CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-    progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
-  }
-
-  QueryResult result;
-  result.plan_cache_hit = plan_cache_hit;
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-
-  MetricsRegistry* metrics = options.internal ? nullptr : options.metrics;
+  SM_ASSIGN_OR_RETURN(CompiledPlan plan,
+                      Compile(*ex.query, options.use_plan_cache ? sql : "",
+                              /*num_params=*/-1, options, progress));
+  QueryResult& result = plan.result;
   std::string warnings;
   if (ex.analyze) {
-    ResourceGovernor governor(
-        options.internal ? ResourceBudget::Unlimited() : options.budget,
-        options.internal ? nullptr : options.cancel_token);
-    ExecOptions exec_options;
-    exec_options.memoize_correlation =
-        options.strategy != ExecutionStrategy::kCorrelated;
-    exec_options.tracer = options.tracer;
-    exec_options.collect_box_stats = true;
-    exec_options.num_threads = options.num_threads;
-    exec_options.morsel_size = options.morsel_size;
-    exec_options.governor = &governor;
-    exec_options.progress = progress;
-    if (progress != nullptr) progress->SetPhase(QueryPhase::kExecute);
-    Executor executor(pipeline.graph.get(), &catalog_, exec_options);
-    Result<Table> run = executor.Run();
-    RecordParallelMetrics(metrics, executor.parallel_stats());
-    *governor_out = governor.Stats();
-    RecordGovernorMetrics(metrics, governor,
-                          run.ok() ? Status::OK() : run.status());
-    if (!run.ok()) return run.status();
-    Table discarded = std::move(*run);
-    result.governor = *governor_out;
-    result.exec_stats = executor.stats();
-    result.box_stats = executor.box_stats();
-    result.result_rows = discarded.num_rows();
-    RecordExecMetrics(metrics, result.exec_stats, result.result_rows);
-    RecordQErrors(*pipeline.graph, &catalog_, result.box_stats, metrics,
+    SM_RETURN_IF_ERROR(
+        Execute(&plan, options, /*analyze=*/true, progress, governor_out));
+    RecordQErrors(*plan.graph, &catalog_, result.box_stats,
+                  options.internal ? nullptr : options.metrics,
                   options.tracer, &warnings);
-    if (result.emst_applied) {
-      result.decision_audit = AuditPlanDecision(
-          result.cost_no_emst, result.cost_with_emst, result.emst_chosen,
-          result.exec_stats.TotalWork(), options.mispredict_ratio, metrics,
-          options.tracer);
-      result.decision_audited = true;
-    }
   }
 
   std::string report =
@@ -658,15 +618,15 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
              " C2=", FormatDouble(result.cost_with_emst),
              " emst_chosen=", result.emst_chosen ? "true" : "false",
              " threads=", options.num_threads,
-             " plan_cache=", plan_cache_hit ? "hit" : "miss", "\n");
-  if (!pipeline.rule_fires.empty()) {
+             " plan_cache=", result.plan_cache_hit ? "hit" : "miss", "\n");
+  if (!result.rule_fires.empty()) {
     report += "rule fires:\n";
-    report += RuleFireTable(pipeline.rule_fires);
+    report += RuleFireTable(result.rule_fires);
   }
 
-  CardinalityEstimator estimator(pipeline.graph.get(), &catalog_);
+  CardinalityEstimator estimator(plan.graph.get(), &catalog_);
   report += PrintGraphAnnotated(
-      *pipeline.graph, [&](const Box& box) -> std::string {
+      *plan.graph, [&](const Box& box) -> std::string {
         std::string note =
             StrCat("est_rows=", FormatDouble(estimator.Estimate(&box).rows));
         if (!ex.analyze) return note;
@@ -687,7 +647,7 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
   if (ex.analyze && !options.internal) {
     std::lock_guard<std::mutex> obs_lock(obs_mu_);
     last_box_stats_.clear();
-    for (const Box* box : pipeline.graph->boxes()) {
+    for (const Box* box : plan.graph->boxes()) {
       SysBoxStatRow row;
       row.box_id = box->id();
       row.kind = BoxKindName(box->kind());
@@ -721,12 +681,11 @@ Result<QueryResult> Database::RunExplain(const AstExplain& ex,
     report += warnings;
   }
   result.analyze_report = report;
-  result.rule_fires = std::move(pipeline.rule_fires);
   result.table = ReportTable(report);
   if (options.capture_plan_report) {
-    result.plan_report = PrintGraph(*pipeline.graph);
+    result.plan_report = PrintGraph(*plan.graph);
   }
-  return result;
+  return std::move(result);
 }
 
 Result<QueryResult> Database::QueryInternal(const std::string& sql,
@@ -736,157 +695,79 @@ Result<QueryResult> Database::QueryInternal(const std::string& sql,
                                             GovernorStats* governor_out) {
   SM_ASSIGN_OR_RETURN(std::unique_ptr<AstStatement> stmt, ParseStatement(sql));
   if (progress != nullptr) progress->SetPhase(QueryPhase::kOptimize);
-  if (stmt->kind == StatementKind::kExplain) {
-    const auto& ex = static_cast<const AstExplain&>(*stmt);
-    *kind = ex.analyze ? "explain-analyze" : "explain";
-    return RunExplain(ex, sql, options, progress, governor_out);
-  }
-  if (stmt->kind == StatementKind::kPrepare) {
-    *kind = "prepare";
-    return RunPrepare(static_cast<const AstPrepare&>(*stmt), options);
-  }
-  if (stmt->kind == StatementKind::kExecute) {
-    *kind = "execute";
-    return RunExecute(static_cast<const AstExecute&>(*stmt), options, progress,
-                      governor_out);
-  }
-  if (stmt->kind == StatementKind::kDeallocate) {
-    *kind = "deallocate";
-    const auto& de = static_cast<const AstDeallocate&>(*stmt);
-    if (prepared_.erase(ToLower(de.name)) == 0) {
-      return Status::NotFound(
-          StrCat("prepared statement '", de.name, "' does not exist"));
+  switch (stmt->kind) {
+    case StatementKind::kSelect: {
+      const auto& select = static_cast<const AstSelectStatement&>(*stmt);
+      SM_ASSIGN_OR_RETURN(
+          CompiledPlan plan,
+          Compile(*select.blob, options.use_plan_cache ? sql : "",
+                  /*num_params=*/-1, options, progress));
+      SM_RETURN_IF_ERROR(
+          Execute(&plan, options, /*analyze=*/false, progress, governor_out));
+      return std::move(plan.result);
     }
-    QueryResult result;
-    result.table = ReportTable(StrCat("DEALLOCATE ", de.name));
-    return result;
-  }
-  if (stmt->kind != StatementKind::kSelect) {
-    return Status::InvalidArgument(
-        "only SELECT, EXPLAIN, PREPARE, EXECUTE, and DEALLOCATE can be run "
-        "through Query(); use Execute() for DDL/DML");
-  }
-  const auto& select = static_cast<const AstSelectStatement&>(*stmt);
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
-  bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  if (options.use_plan_cache && plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    PlanCache::LookupResult lookup =
-        plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-    if (lookup.plan != nullptr) {
-      plan_cache_hit = true;
-      pipeline = PipelineFromCache(*lookup.plan);
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-    } else {
-      SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*select.blob, options));
-      int evictions = CachePlan(pipeline, norm_sql, fingerprint,
-                                CountParams(*pipeline.graph));
-      RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                             evictions);
+    case StatementKind::kExplain: {
+      const auto& ex = static_cast<const AstExplain&>(*stmt);
+      *kind = ex.analyze ? "explain-analyze" : "explain";
+      return RunExplain(ex, sql, options, progress, governor_out);
     }
-  } else {
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*select.blob, options));
-  }
-  if (progress != nullptr) {
-    if (pipeline.graph->top() != nullptr) {
-      CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-      progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
+    case StatementKind::kPrepare: {
+      *kind = "prepare";
+      auto& prep = static_cast<AstPrepare&>(*stmt);
+      std::string key = ToLower(prep.name);
+      if (prepared_.count(key) > 0) {
+        return Status::AlreadyExists(
+            StrCat("prepared statement '", prep.name, "' already exists"));
+      }
+      // Compile once, now: PREPARE both validates the body and warms the
+      // plan cache, so the first EXECUTE already skips the pipeline.
+      SM_ASSIGN_OR_RETURN(CompiledPlan plan,
+                          Compile(*prep.body, prep.body_sql, prep.num_params,
+                                  options, progress));
+      plan.result.table = ReportTable(StrCat("PREPARE ", prep.name));
+      prepared_[key] = PreparedStatement{prep.name, prep.body_sql,
+                                         std::move(prep.body),
+                                         prep.num_params};
+      return std::move(plan.result);
     }
-    progress->SetPhase(QueryPhase::kExecute);
-  }
-  Result<QueryResult> run = RunPipeline(
-      std::move(pipeline), options, /*collect_box_stats=*/false, progress,
-      governor_out);
-  if (run.ok()) (*run).plan_cache_hit = plan_cache_hit;
-  return run;
-}
-
-Result<QueryResult> Database::RunPrepare(const AstPrepare& prep,
-                                         const QueryOptions& options) {
-  std::string key = ToLower(prep.name);
-  if (prepared_.count(key) > 0) {
-    return Status::AlreadyExists(
-        StrCat("prepared statement '", prep.name, "' already exists"));
-  }
-  // Compile once, now: PREPARE both validates the body and warms the plan
-  // cache, so the first EXECUTE already skips the pipeline.
-  SM_ASSIGN_OR_RETURN(PipelineResult pipeline,
-                      OptimizeBlob(*prep.body, options));
-  if (plan_cache_.enabled()) {
-    std::string norm_sql = PlanCache::NormalizeSql(prep.body_sql);
-    std::string fingerprint =
-        PlanCache::Fingerprint(EffectivePipelineOptions(options));
-    int evictions =
-        CachePlan(pipeline, norm_sql, fingerprint, prep.num_params);
-    RecordPlanCacheMetrics(options.internal ? nullptr : options.metrics,
-                           /*hit=*/false, false, evictions);
-  }
-  prepared_[key] = PreparedStatement{prep.name, prep.body_sql,
-                                     prep.num_params};
-  QueryResult result;
-  result.cost_no_emst = pipeline.cost_no_emst;
-  result.cost_with_emst = pipeline.cost_with_emst;
-  result.emst_applied = pipeline.emst_applied;
-  result.emst_chosen = pipeline.emst_chosen;
-  result.rewrite_applications = pipeline.rewrite_applications;
-  result.rule_fires = std::move(pipeline.rule_fires);
-  result.table = ReportTable(StrCat("PREPARE ", prep.name));
-  return result;
-}
-
-Result<QueryResult> Database::RunExecute(const AstExecute& exec,
-                                         const QueryOptions& options,
-                                         ProgressTracker* progress,
-                                         GovernorStats* governor_out) {
-  auto it = prepared_.find(ToLower(exec.name));
-  if (it == prepared_.end()) {
-    return Status::NotFound(
-        StrCat("prepared statement '", exec.name, "' does not exist"));
-  }
-  const PreparedStatement& prepared = it->second;
-  if (static_cast<int>(exec.args.size()) != prepared.num_params) {
-    return Status::InvalidArgument(
-        StrCat("prepared statement '", exec.name, "' expects ",
-               prepared.num_params, " parameter(s), got ", exec.args.size()));
-  }
-
-  MetricsRegistry* pc_metrics = options.internal ? nullptr : options.metrics;
-  std::string norm_sql = PlanCache::NormalizeSql(prepared.body_sql);
-  std::string fingerprint =
-      PlanCache::Fingerprint(EffectivePipelineOptions(options));
-  bool plan_cache_hit = false;
-  PipelineResult pipeline;
-  PlanCache::LookupResult lookup =
-      plan_cache_.Lookup(norm_sql, fingerprint, catalog_);
-  if (lookup.plan != nullptr) {
-    plan_cache_hit = true;
-    pipeline = PipelineFromCache(*lookup.plan);
-    RecordPlanCacheMetrics(pc_metrics, /*hit=*/true, false, 0);
-  } else {
-    SM_ASSIGN_OR_RETURN(std::unique_ptr<AstBlob> blob,
-                        ParseQuery(prepared.body_sql));
-    SM_ASSIGN_OR_RETURN(pipeline, OptimizeBlob(*blob, options));
-    int evictions =
-        CachePlan(pipeline, norm_sql, fingerprint, prepared.num_params);
-    RecordPlanCacheMetrics(pc_metrics, /*hit=*/false, lookup.invalidated,
-                           evictions);
-  }
-  SM_RETURN_IF_ERROR(BindParameters(pipeline.graph.get(), exec.args));
-  if (progress != nullptr) {
-    if (pipeline.graph->top() != nullptr) {
-      CardinalityEstimator est(pipeline.graph.get(), &catalog_);
-      progress->SetEstRows(est.Estimate(pipeline.graph->top()).rows);
+    case StatementKind::kExecute: {
+      *kind = "execute";
+      const auto& exec = static_cast<const AstExecute&>(*stmt);
+      auto it = prepared_.find(ToLower(exec.name));
+      if (it == prepared_.end()) {
+        return Status::NotFound(
+            StrCat("prepared statement '", exec.name, "' does not exist"));
+      }
+      const PreparedStatement& prepared = it->second;
+      if (static_cast<int>(exec.args.size()) != prepared.num_params) {
+        return Status::InvalidArgument(StrCat(
+            "prepared statement '", exec.name, "' expects ",
+            prepared.num_params, " parameter(s), got ", exec.args.size()));
+      }
+      SM_ASSIGN_OR_RETURN(CompiledPlan plan,
+                          Compile(*prepared.body, prepared.body_sql,
+                                  prepared.num_params, options, progress));
+      SM_RETURN_IF_ERROR(BindParameters(plan.graph.get(), exec.args));
+      SM_RETURN_IF_ERROR(
+          Execute(&plan, options, /*analyze=*/false, progress, governor_out));
+      return std::move(plan.result);
     }
-    progress->SetPhase(QueryPhase::kExecute);
+    case StatementKind::kDeallocate: {
+      *kind = "deallocate";
+      const auto& de = static_cast<const AstDeallocate&>(*stmt);
+      if (prepared_.erase(ToLower(de.name)) == 0) {
+        return Status::NotFound(
+            StrCat("prepared statement '", de.name, "' does not exist"));
+      }
+      QueryResult result;
+      result.table = ReportTable(StrCat("DEALLOCATE ", de.name));
+      return result;
+    }
+    default:
+      return Status::InvalidArgument(
+          "only SELECT, EXPLAIN, PREPARE, EXECUTE, and DEALLOCATE can be run "
+          "through Query(); use Execute() for DDL/DML");
   }
-  Result<QueryResult> run = RunPipeline(
-      std::move(pipeline), options, /*collect_box_stats=*/false, progress,
-      governor_out);
-  if (run.ok()) (*run).plan_cache_hit = plan_cache_hit;
-  return run;
 }
 
 std::vector<std::string> Database::PreparedStatementNames() const {
@@ -907,19 +788,12 @@ Result<QueryResult> Database::Query(const std::string& sql,
   // watch itself — and neither does anything when tracking is disabled.
   ProgressScope progress_scope(
       options.internal || !progress_enabled_ ? nullptr : &progress_, sql);
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    // Per-query sys.* snapshot: each referenced system table materializes
-    // once, at its first scan, from live engine state. The scope ends (and
-    // the snapshot dies) before the query-log record below — so a query
-    // over sys.query_log sees every *prior* query but never itself.
-    SysSnapshot snapshot(catalog_.system_registry(), MakeSysState(options));
-    std::optional<SysSnapshotScope> scope;
-    if (catalog_.system_registry() != nullptr) {
-      scope.emplace(&catalog_, &snapshot);
-    }
+  // The sys.* snapshot dies before the query-log record below — so a
+  // query over sys.query_log sees every *prior* query but never itself.
+  Result<QueryResult> result = WithSysSnapshot(options, [&] {
     return QueryInternal(sql, options, progress_scope.tracker(), &kind,
                          &governor_stats);
-  }();
+  });
   auto end = std::chrono::steady_clock::now();
   // Internal introspection queries observe without perturbing the very
   // state they read: no query-log entry, no metrics (gated upstream).

@@ -55,9 +55,9 @@ struct QueryOptions {
   /// hit the parse→rewrite→optimize pipeline is skipped entirely and a
   /// clone of the cached graph executes; on a miss the compiled plan is
   /// inserted for next time. Off by default so existing compile-path
-  /// diagnostics (rule fires, snapshots) stay per-query. EXECUTE of a
-  /// prepared statement always consults the cache, regardless of this
-  /// flag — skipping recompilation is the point of PREPARE.
+  /// diagnostics (rule fires, snapshots) stay per-query. PREPARE and
+  /// EXECUTE always consult the cache, regardless of this flag — skipping
+  /// recompilation is the point of PREPARE.
   bool use_plan_cache = false;
   /// Marks an engine-internal introspection query (the shell's canned
   /// sys.* queries behind dot-commands). Internal queries observe without
@@ -70,16 +70,12 @@ struct QueryOptions {
   explicit QueryOptions(ExecutionStrategy s) : strategy(s) {}
 };
 
-/// Everything a query run produces: the result table, optimizer
-/// diagnostics, and the executor's deterministic work counters.
-struct QueryResult {
+/// Everything a query run produces: the result table, the optimizer's
+/// §3.2 choice (the PlanChoice base), and the executor's deterministic
+/// work counters.
+struct QueryResult : PlanChoice {
   Table table;
   ExecStats exec_stats;
-  double cost_no_emst = 0;
-  double cost_with_emst = 0;
-  bool emst_applied = false;  ///< the EMST pipeline ran (magic strategy)
-  bool emst_chosen = false;
-  int rewrite_applications = 0;
   /// Rows the query produced. For EXPLAIN ANALYZE this counts the rows of
   /// the analyzed query, while `table` holds the report lines.
   int64_t result_rows = 0;
@@ -99,8 +95,9 @@ struct QueryResult {
   /// cooperative-check count. Peak bytes are thread-count invariant for a
   /// given query (see docs/resource-governor.md).
   GovernorStats governor;
-  /// True when this run executed a clone of a cached plan (the compile
-  /// pipeline was skipped). Always false for PREPARE/DEALLOCATE.
+  /// True when the plan came from the plan cache (the compile pipeline was
+  /// skipped). PREPARE counts as a lookup too, so re-preparing a body that
+  /// is already cached is a hit. Always false for DEALLOCATE.
   bool plan_cache_hit = false;
 };
 
@@ -201,12 +198,22 @@ class Database {
   std::vector<std::string> PreparedStatementNames() const;
 
  private:
-  /// A PREPAREd statement: the body SQL re-compiles on plan-cache misses;
-  /// the parser-counted positional-parameter count validates EXECUTE args.
+  /// A PREPAREd statement: the parsed body re-compiles on plan-cache
+  /// misses, body_sql is its cache key, and the parser-counted
+  /// positional-parameter count validates EXECUTE args.
   struct PreparedStatement {
     std::string name;  ///< as written (map key is lowercased)
     std::string body_sql;
+    std::unique_ptr<AstBlob> body;
     int num_params = 0;
+  };
+
+  /// What Compile hands to Execute: the chosen, plan-optimized graph (a
+  /// private clone on a cache hit) and the result it starts, holding the
+  /// §3.2 choice, the rule fires (empty on a hit) and the cache outcome.
+  struct CompiledPlan {
+    std::unique_ptr<QueryGraph> graph;
+    QueryResult result;
   };
 
   Status ExecuteStatement(const AstStatement& stmt);
@@ -216,41 +223,39 @@ class Database {
   Result<PipelineResult> OptimizeBlob(const AstBlob& blob,
                                       const QueryOptions& options);
 
-  /// Executes an already-optimized pipeline result. *governor_out is
-  /// filled with the run's governor stats even when execution fails (the
-  /// query log records peak bytes for aborted queries too). `progress`
-  /// (may be null) receives live execution updates.
-  Result<QueryResult> RunPipeline(PipelineResult pipeline,
-                                  const QueryOptions& options,
-                                  bool collect_box_stats,
-                                  ProgressTracker* progress,
-                                  GovernorStats* governor_out);
+  /// The one compile path behind SELECT, EXPLAIN, PREPARE and EXECUTE.
+  /// With a non-empty `cache_sql` (the plan-cache key text) and an enabled
+  /// cache it looks the plan up: a hit clones the cached graph; a miss runs
+  /// OptimizeBlob and inserts the result, pinned to the current catalog
+  /// versions, with `num_params` (-1: count the graph's `?` leaves). Then
+  /// records the plan_cache.* metrics and the progress row estimate.
+  Result<CompiledPlan> Compile(const AstBlob& blob,
+                               const std::string& cache_sql, int num_params,
+                               const QueryOptions& options,
+                               ProgressTracker* progress);
 
-  /// EXPLAIN [ANALYZE]: builds the annotated-plan result. `sql` is the
-  /// full statement text — the plan-cache key when use_plan_cache is set.
+  /// The one execute path: runs plan->graph under a governor built from
+  /// `options` and fills plan->result (rows, exec/box/governor stats, the
+  /// decision audit). `analyze` collects per-box stats for EXPLAIN
+  /// ANALYZE. *governor_out is filled even when execution fails (the query
+  /// log records peak bytes for aborted queries too). `progress` (may be
+  /// null) receives live execution updates.
+  Status Execute(CompiledPlan* plan, const QueryOptions& options,
+                 bool analyze, ProgressTracker* progress,
+                 GovernorStats* governor_out);
+
+  /// EXPLAIN [ANALYZE]: compile, execute when ANALYZE, render the
+  /// annotated plan. `sql` is the full statement text — the plan-cache key
+  /// when use_plan_cache is set.
   Result<QueryResult> RunExplain(const AstExplain& ex, const std::string& sql,
                                  const QueryOptions& options,
                                  ProgressTracker* progress,
                                  GovernorStats* governor_out);
 
-  /// PREPARE: validates + compiles the body once, warms the plan cache,
-  /// and registers the statement name.
-  Result<QueryResult> RunPrepare(const AstPrepare& prep,
-                                 const QueryOptions& options);
-
-  /// EXECUTE: binds arguments into a clone of the cached plan (compiling
-  /// and caching on a miss) and runs it.
-  Result<QueryResult> RunExecute(const AstExecute& exec,
-                                 const QueryOptions& options,
-                                 ProgressTracker* progress,
-                                 GovernorStats* governor_out);
-
-  /// Builds the cache entry for a just-compiled plan (version pins, master
-  /// graph clone) and inserts it. No-op for plans referencing sys.* tables
-  /// (they materialize per query; no pin makes them reusable). Returns the
-  /// number of entries evicted.
-  int CachePlan(const PipelineResult& pipeline, const std::string& norm_sql,
-                const std::string& fingerprint, int num_params);
+  /// Runs `fn` with sys.* names resolving against a snapshot of live
+  /// engine state scoped to this call.
+  template <typename Fn>
+  auto WithSysSnapshot(const QueryOptions& options, Fn&& fn);
 
   /// The effective pipeline options for this query — what OptimizeBlob
   /// passes to the optimizer, minus the observability sinks. Feeds the

@@ -1,5 +1,7 @@
 #include "exec/aggregate.h"
 
+#include <limits>
+
 #include "common/string_util.h"
 
 namespace starmagic {
@@ -44,14 +46,19 @@ Status Accumulator::Add(const Value& v) {
   return Status::OK();
 }
 
-Value Accumulator::Finish() const {
+Result<Value> Accumulator::Finish() const {
   switch (func_) {
     case AggFunc::kCount:
     case AggFunc::kCountStar:
       return Value::Int(count_);
     case AggFunc::kSum:
       if (count_ == 0) return Value::Null();
-      return sum_is_double_ ? Value::Double(sum_) : Value::Int(sum_int_);
+      if (sum_is_double_) return Value::Double(sum_);
+      if (sum_int_ > std::numeric_limits<int64_t>::max() ||
+          sum_int_ < std::numeric_limits<int64_t>::min()) {
+        return Status::ExecutionError("integer overflow in SUM");
+      }
+      return Value::Int(static_cast<int64_t>(sum_int_));
     case AggFunc::kAvg:
       if (count_ == 0) return Value::Null();
       return Value::Double(sum_ / static_cast<double>(count_));

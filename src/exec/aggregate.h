@@ -19,8 +19,9 @@ class Accumulator {
   /// Adds one input. For kCountStar pass any value (ignored).
   Status Add(const Value& v);
 
-  /// Final aggregate value.
-  Value Finish() const;
+  /// Final aggregate value. An all-INT SUM whose total does not fit in
+  /// int64 is an ExecutionError.
+  Result<Value> Finish() const;
 
  private:
   struct ValueHash {
@@ -37,7 +38,9 @@ class Accumulator {
   int64_t count_ = 0;      ///< non-null inputs (rows for COUNT(*))
   double sum_ = 0;
   bool sum_is_double_ = false;
-  int64_t sum_int_ = 0;
+  /// Exact sum of the INT inputs: 128 bits cannot overflow before 2^64
+  /// inputs, so only the final total is range-checked.
+  __int128 sum_int_ = 0;
   Value min_;
   Value max_;
   std::unordered_set<Value, ValueHash, ValueEq> seen_;

@@ -1281,7 +1281,10 @@ Result<Table> Executor::ComputeGroupBy(Box* box, const RowEnv& env) {
     Row row;
     row.reserve(static_cast<size_t>(nout));
     for (const Value& v : key) row.push_back(v);
-    for (Accumulator& acc : group.accs) row.push_back(acc.Finish());
+    for (Accumulator& acc : group.accs) {
+      SM_ASSIGN_OR_RETURN(Value v, acc.Finish());
+      row.push_back(std::move(v));
+    }
     out.AppendUnchecked(std::move(row));
   }
   stats_.rows_produced += out.num_rows();

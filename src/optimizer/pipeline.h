@@ -70,13 +70,19 @@ struct RuleFireStats {
 std::string RuleFireTable(const std::vector<RuleFireStats>& fires,
                           bool include_zero = false);
 
-struct PipelineResult {
+/// The §3.2 outcome of one compile. A base of every struct that carries
+/// it (PipelineResult, CachedPlan, QueryResult), so passing the outcome
+/// along is one assignment.
+struct PlanChoice {
+  double cost_no_emst = 0;       ///< C1: plan cost before EMST
+  double cost_with_emst = 0;     ///< C2: plan cost after EMST (magic only)
+  bool emst_applied = false;     ///< EMST pipeline ran
+  bool emst_chosen = false;      ///< transformed plan was the winner
+  int rewrite_applications = 0;  ///< total across phases (= sum of fires)
+};
+
+struct PipelineResult : PlanChoice {
   std::unique_ptr<QueryGraph> graph;  ///< the chosen, plan-optimized graph
-  double cost_no_emst = 0;            ///< C1: plan cost before EMST
-  double cost_with_emst = 0;          ///< C2: plan cost after EMST (magic only)
-  bool emst_applied = false;          ///< EMST pipeline ran
-  bool emst_chosen = false;           ///< transformed plan was the winner
-  int rewrite_applications = 0;       ///< total across phases (= sum of fires)
   /// Per-phase per-rule fire breakdown (phase-1/2/3 distinguished).
   std::vector<RuleFireStats> rule_fires;
   /// (phase label, PrintGraph snapshot) pairs when capture_snapshots.

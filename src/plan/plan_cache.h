@@ -27,16 +27,11 @@ namespace starmagic {
 /// see Catalog::ddl_version). A lookup whose pins no longer match the live
 /// catalog drops the entry instead of returning it, so a stale plan is
 /// never executed.
-struct CachedPlan {
+///
+/// The PlanChoice base is replayed on cache hits: the pipeline is skipped,
+/// but EXPLAIN and QueryResult still report the compile-time outcome.
+struct CachedPlan : PlanChoice {
   std::unique_ptr<QueryGraph> graph;
-
-  // Optimizer diagnostics replayed on cache hits (the pipeline is skipped,
-  // but EXPLAIN and QueryResult still report the compile-time outcome).
-  double cost_no_emst = 0;
-  double cost_with_emst = 0;
-  bool emst_applied = false;
-  bool emst_chosen = false;
-  int rewrite_applications = 0;
 
   /// Positional parameters ('?') the plan expects at execution.
   int num_params = 0;

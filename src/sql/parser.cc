@@ -58,6 +58,30 @@ class Parser {
   const Token& Advance() { return tokens_[pos_++]; }
   bool AtEnd() const { return Peek().type == TokenType::kEof; }
 
+  /// Restores the nesting depth on scope exit, undoing every Nest() made
+  /// while it lived.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(int* depth) : depth_(depth), saved_(*depth) {}
+    ~DepthGuard() { *depth_ = saved_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    int* depth_;
+    int saved_;
+  };
+
+  /// Opens one nesting level. Input nested past kMaxParseDepth is rejected
+  /// here, as a typed error, before it can overflow the stack of this or a
+  /// later recursive pass.
+  Status Nest() {
+    if (++depth_ <= kMaxParseDepth) return Status::OK();
+    return Status::ParseError(StrCat("statement nests deeper than ",
+                                     kMaxParseDepth, " levels at line ",
+                                     Peek().line));
+  }
+
   bool CheckKeyword(const char* kw) const { return Peek().IsKeyword(kw); }
   bool ConsumeKeyword(const char* kw) {
     if (CheckKeyword(kw)) {
@@ -386,6 +410,8 @@ class Parser {
   // ---------------------------- Queries ------------------------------------
 
   Result<std::unique_ptr<AstBlob>> ParseBlob() {
+    DepthGuard guard(&depth_);
+    SM_RETURN_IF_ERROR(Nest());
     auto blob = std::make_unique<AstBlob>();
     SM_ASSIGN_OR_RETURN(blob->first, ParseBlock());
     while (true) {
@@ -510,11 +536,17 @@ class Parser {
 
   // -------------------------- Expressions ----------------------------------
 
-  Result<AstExprPtr> ParseExpr() { return ParseOr(); }
+  Result<AstExprPtr> ParseExpr() {
+    DepthGuard guard(&depth_);
+    SM_RETURN_IF_ERROR(Nest());
+    return ParseOr();
+  }
 
   Result<AstExprPtr> ParseOr() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseAnd());
+    DepthGuard guard(&depth_);
     while (ConsumeKeyword("OR")) {
+      SM_RETURN_IF_ERROR(Nest());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseAnd());
       lhs = std::make_unique<AstBinary>(BinaryOp::kOr, std::move(lhs),
                                         std::move(rhs));
@@ -524,7 +556,9 @@ class Parser {
 
   Result<AstExprPtr> ParseAnd() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseNot());
+    DepthGuard guard(&depth_);
     while (ConsumeKeyword("AND")) {
+      SM_RETURN_IF_ERROR(Nest());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseNot());
       lhs = std::make_unique<AstBinary>(BinaryOp::kAnd, std::move(lhs),
                                         std::move(rhs));
@@ -534,6 +568,8 @@ class Parser {
 
   Result<AstExprPtr> ParseNot() {
     if (ConsumeKeyword("NOT")) {
+      DepthGuard guard(&depth_);
+      SM_RETURN_IF_ERROR(Nest());
       SM_ASSIGN_OR_RETURN(AstExprPtr inner, ParseNot());
       return AstExprPtr(std::make_unique<AstUnary>(UnaryOp::kNot, std::move(inner)));
     }
@@ -636,6 +672,7 @@ class Parser {
 
   Result<AstExprPtr> ParseAdditive() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseMultiplicative());
+    DepthGuard guard(&depth_);
     while (true) {
       BinaryOp op;
       if (Peek().type == TokenType::kPlus) {
@@ -646,6 +683,7 @@ class Parser {
         break;
       }
       Advance();
+      SM_RETURN_IF_ERROR(Nest());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseMultiplicative());
       lhs = std::make_unique<AstBinary>(op, std::move(lhs), std::move(rhs));
     }
@@ -654,6 +692,7 @@ class Parser {
 
   Result<AstExprPtr> ParseMultiplicative() {
     SM_ASSIGN_OR_RETURN(AstExprPtr lhs, ParseUnary());
+    DepthGuard guard(&depth_);
     while (true) {
       BinaryOp op;
       if (Peek().type == TokenType::kStar) {
@@ -664,6 +703,7 @@ class Parser {
         break;
       }
       Advance();
+      SM_RETURN_IF_ERROR(Nest());
       SM_ASSIGN_OR_RETURN(AstExprPtr rhs, ParseUnary());
       lhs = std::make_unique<AstBinary>(op, std::move(lhs), std::move(rhs));
     }
@@ -671,12 +711,14 @@ class Parser {
   }
 
   Result<AstExprPtr> ParseUnary() {
-    if (ConsumeIf(TokenType::kMinus)) {
-      SM_ASSIGN_OR_RETURN(AstExprPtr inner, ParseUnary());
-      return AstExprPtr(std::make_unique<AstUnary>(UnaryOp::kNeg, std::move(inner)));
-    }
-    if (ConsumeIf(TokenType::kPlus)) return ParseUnary();
-    return ParsePrimary();
+    const bool minus = Peek().type == TokenType::kMinus;
+    if (!minus && Peek().type != TokenType::kPlus) return ParsePrimary();
+    Advance();
+    DepthGuard guard(&depth_);
+    SM_RETURN_IF_ERROR(Nest());
+    SM_ASSIGN_OR_RETURN(AstExprPtr inner, ParseUnary());
+    if (!minus) return inner;
+    return AstExprPtr(std::make_unique<AstUnary>(UnaryOp::kNeg, std::move(inner)));
   }
 
   Result<AstExprPtr> ParsePrimary() {
@@ -774,6 +816,8 @@ class Parser {
   size_t pos_ = 0;
   /// Positional '?' parameters seen so far, assigned left to right.
   int param_count_ = 0;
+  /// Current nesting depth (see kMaxParseDepth and Nest()).
+  int depth_ = 0;
 };
 
 }  // namespace

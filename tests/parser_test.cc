@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/database.h"
+
 namespace starmagic {
 namespace {
 
@@ -224,6 +226,99 @@ TEST(ParserTest, ErrorsCarryLineInfo) {
   auto r = ParseQuery("SELECT a\nFROM\n");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line"), std::string::npos);
+}
+
+// "SELECT " + k x `open` + `leaf` + k x `close` + `tail`.
+std::string Nested(int k, const std::string& open, const std::string& close,
+                   const std::string& leaf = "1",
+                   const std::string& tail = "") {
+  std::string sql = "SELECT ";
+  for (int i = 0; i < k; ++i) sql += open;
+  sql += leaf;
+  for (int i = 0; i < k; ++i) sql += close;
+  return sql + tail;
+}
+
+// "SELECT `leaf`" + k x (`op` + `leaf`) + `tail`: a k-operator chain.
+std::string Chain(int k, const std::string& op, const std::string& leaf = "1",
+                  const std::string& tail = "") {
+  std::string sql = "SELECT " + leaf;
+  for (int i = 0; i < k; ++i) sql += op + leaf;
+  return sql + tail;
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  auto r = ParseStatement(sql);
+  ASSERT_FALSE(r.ok()) << sql.substr(0, 40);
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("nests deeper"), std::string::npos)
+      << r.status().ToString();
+}
+
+// The SELECT's block and its select item are two of the levels.
+constexpr int kLimitNesting = kMaxParseDepth - 2;
+
+TEST(ParserTest, NestingAtTheLimitParses) {
+  for (const std::string& sql :
+       {Nested(kLimitNesting, "(", ")"), Nested(kLimitNesting, "- ", ""),
+        Nested(kLimitNesting, "+ ", ""), Nested(kLimitNesting, "NOT ", ""),
+        // Each scalar subquery is a block plus its select item.
+        Nested(kLimitNesting / 2, "(SELECT ", ")"),
+        // Each operator of a chain nests the one before it.
+        Chain(kLimitNesting, " + "), Chain(kLimitNesting, " * "),
+        Chain(kLimitNesting, " AND ", "TRUE"),
+        Chain(kLimitNesting, " OR ", "TRUE")}) {
+    auto r = ParseStatement(sql);
+    EXPECT_TRUE(r.ok()) << sql.substr(0, 40) << ": " << r.status().ToString();
+  }
+}
+
+TEST(ParserTest, NestingPastTheLimitIsParseError) {
+  ExpectTooDeep(Nested(kLimitNesting + 1, "(", ")"));
+  ExpectTooDeep(Nested(kLimitNesting + 1, "- ", ""));
+  ExpectTooDeep(Nested(kLimitNesting + 1, "+ ", ""));
+  ExpectTooDeep(Nested(kLimitNesting + 1, "NOT ", ""));
+  ExpectTooDeep(Nested(kLimitNesting / 2 + 1, "(SELECT ", ")"));
+  ExpectTooDeep(Nested(kLimitNesting + 1, "SUM(", ")"));
+  ExpectTooDeep(Chain(kLimitNesting + 1, " - "));
+  ExpectTooDeep(Chain(kLimitNesting + 1, " / "));
+  ExpectTooDeep(Chain(kLimitNesting + 1, " AND ", "TRUE"));
+  ExpectTooDeep(Chain(kLimitNesting + 1, " OR ", "TRUE"));
+  // Far past the limit: these overflowed the stack before it existed.
+  ExpectTooDeep(Nested(5000, "(", ")"));
+  ExpectTooDeep(Nested(100000, "- ", ""));
+  ExpectTooDeep(Chain(100000, " + ", "a", " FROM t"));
+  // The limit holds wherever an expression or query starts.
+  ExpectTooDeep("SELECT a FROM t WHERE " +
+                Nested(kLimitNesting + 1, "(", ")").substr(7));
+  ExpectTooDeep("CREATE VIEW v AS " +
+                Nested(kLimitNesting / 2 + 1, "(SELECT ", ")"));
+}
+
+TEST(ParserTest, StatementsAtTheNestingLimitRunEndToEnd) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE t (a INTEGER);"
+                               "INSERT INTO t VALUES (1);")
+                  .ok());
+  const std::string from = " FROM t";
+  for (const std::string& sql :
+       {Nested(kLimitNesting, "(", ")", "a", from),
+        Nested(kLimitNesting, "- ", "", "a", from),
+        Nested(kLimitNesting, "- ", "", "1", from),
+        Nested(kLimitNesting, "NOT ", "", "a = 1", from),
+        Chain(kLimitNesting, " + ", "a", from),
+        Chain(kLimitNesting, " + ", "1", from),
+        Nested(kLimitNesting / 2, "(SELECT ", ")", "1", from),
+        "SELECT a FROM t WHERE " +
+            Chain(kLimitNesting, " AND ", "a = 1").substr(7)}) {
+    for (ExecutionStrategy strategy :
+         {ExecutionStrategy::kOriginal, ExecutionStrategy::kMagic}) {
+      auto r = db.Query(sql, QueryOptions(strategy));
+      ASSERT_TRUE(r.ok()) << sql.substr(0, 40) << ": "
+                          << r.status().ToString();
+      EXPECT_EQ(r->table.num_rows(), 1);
+    }
+  }
 }
 
 TEST(ParserTest, BlobToStringRoundTripsThroughParser) {

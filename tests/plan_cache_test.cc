@@ -375,6 +375,49 @@ TEST_F(PreparedStatementTest, DmlInvalidatesBeforeNextExecution) {
   EXPECT_TRUE(rewarmed->plan_cache_hit);
 }
 
+TEST_F(PreparedStatementTest, PlanCacheMetricsMatchCacheStats) {
+  // Capacity 1 makes the second statement evict the first, so every
+  // counter moves.
+  db_.plan_cache()->SetCapacity(1);
+  auto expect_agree = [&](const std::string& step) {
+    const PlanCacheStats stats = db_.plan_cache()->stats();
+    EXPECT_EQ(metrics_.CounterValue("plan_cache.hits"), stats.hits) << step;
+    EXPECT_EQ(metrics_.CounterValue("plan_cache.misses"), stats.misses)
+        << step;
+    EXPECT_EQ(metrics_.CounterValue("plan_cache.invalidations"),
+              stats.invalidations)
+        << step;
+    EXPECT_EQ(metrics_.CounterValue("plan_cache.evictions"), stats.evictions)
+        << step;
+  };
+  for (const char* sql :
+       {"PREPARE deep AS SELECT dst FROM tc WHERE src = ?", "EXECUTE deep(2)",
+        "PREPARE flat AS SELECT dst FROM edge WHERE src = ?",
+        "EXECUTE deep(2)"}) {
+    ASSERT_TRUE(Run(sql).ok()) << sql;
+    expect_agree(sql);
+  }
+  ASSERT_TRUE(db_.Execute("INSERT INTO edge VALUES (6,7)").ok());
+  auto recompiled = Run("EXECUTE deep(2)");
+  ASSERT_TRUE(recompiled.ok()) << recompiled.status().ToString();
+  EXPECT_FALSE(recompiled->plan_cache_hit);
+  expect_agree("EXECUTE after invalidating INSERT");
+
+  const PlanCacheStats stats = db_.plan_cache()->stats();
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.invalidations, 1);
+  EXPECT_EQ(stats.evictions, 2);
+
+  // PREPARE is a lookup like EXECUTE: re-preparing a cached body hits.
+  ASSERT_TRUE(Run("DEALLOCATE deep").ok());
+  auto reprepared = Run("PREPARE deep AS SELECT dst FROM tc WHERE src = ?");
+  ASSERT_TRUE(reprepared.ok()) << reprepared.status().ToString();
+  EXPECT_TRUE(reprepared->plan_cache_hit);
+  EXPECT_TRUE(reprepared->rule_fires.empty());
+  expect_agree("re-PREPARE");
+}
+
 TEST_F(PreparedStatementTest, AnalyzeAndDdlInvalidateBeforeNextExecution) {
   ASSERT_TRUE(Run("PREPARE deep AS SELECT dst FROM tc WHERE src = ?").ok());
   ASSERT_TRUE(Run("EXECUTE deep(2)")->plan_cache_hit);

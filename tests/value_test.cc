@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/row.h"
 
 namespace starmagic {
@@ -97,6 +99,47 @@ TEST(ValueTest, IntegerDivisionStaysInt) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->kind(), ValueKind::kInt);
   EXPECT_EQ(r->int_value(), 3);
+}
+
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+
+void ExpectOverflow(const Result<Value>& r) {
+  ASSERT_FALSE(r.ok()) << "got " << r->ToString();
+  EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
+  EXPECT_NE(r.status().message().find("overflow"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ValueTest, MinIntDividedByMinusOneIsTypedError) {
+  ExpectOverflow(Value::Divide(Value::Int(kMin), Value::Int(-1)));
+  auto r = Value::Divide(Value::Int(kMin), Value::Int(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), kMin);
+  // Promoted to DOUBLE, the same quotient is representable.
+  r = Value::Divide(Value::Int(kMin), Value::Double(-1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->kind(), ValueKind::kDouble);
+}
+
+TEST(ValueTest, IntArithmeticOverflowIsTypedError) {
+  ExpectOverflow(Value::Add(Value::Int(kMax), Value::Int(1)));
+  ExpectOverflow(Value::Add(Value::Int(kMin), Value::Int(-1)));
+  ExpectOverflow(Value::Subtract(Value::Int(kMin), Value::Int(1)));
+  ExpectOverflow(Value::Subtract(Value::Int(0), Value::Int(kMin)));
+  ExpectOverflow(Value::Multiply(Value::Int(kMax), Value::Int(2)));
+  ExpectOverflow(Value::Multiply(Value::Int(kMin), Value::Int(-1)));
+  ExpectOverflow(Value::Negate(Value::Int(kMin)));
+  // The edges themselves still compute.
+  auto r = Value::Add(Value::Int(kMax - 1), Value::Int(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), kMax);
+  r = Value::Subtract(Value::Int(-kMax), Value::Int(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), kMin);
+  r = Value::Negate(Value::Int(kMax));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->int_value(), -kMax);
 }
 
 TEST(ValueTest, ToStringRendering) {
