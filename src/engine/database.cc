@@ -83,21 +83,13 @@ Result<ExprPtr> LowerDmlExpr(const AstExpr& e, const Schema& schema) {
     case AstExprKind::kInList: {
       const auto& in = static_cast<const AstInList&>(e);
       SM_ASSIGN_OR_RETURN(ExprPtr operand, LowerDmlExpr(*in.operand, schema));
-      ExprPtr disjunction;
+      std::vector<ExprPtr> items;
+      items.reserve(in.list.size());
       for (const AstExprPtr& item : in.list) {
         SM_ASSIGN_OR_RETURN(ExprPtr rhs, LowerDmlExpr(*item, schema));
-        ExprPtr eq = Expr::MakeBinary(BinaryOp::kEq, operand->Clone(),
-                                      std::move(rhs));
-        disjunction = disjunction
-                          ? Expr::MakeBinary(BinaryOp::kOr,
-                                             std::move(disjunction),
-                                             std::move(eq))
-                          : std::move(eq);
+        items.push_back(std::move(rhs));
       }
-      if (in.negated) {
-        disjunction = Expr::MakeUnary(UnaryOp::kNot, std::move(disjunction));
-      }
-      return disjunction;
+      return LowerInList(std::move(operand), std::move(items), in.negated);
     }
     default:
       return Status::NotSupported(

@@ -24,6 +24,37 @@ int64_t ComboBytes(const std::vector<const Row*>& combo) {
                               combo.size() * sizeof(const Row*));
 }
 
+// Values of `exprs` under `env`: the probe key of an equality join step.
+Result<Row> EvalKey(const std::vector<const Expr*>& exprs, const RowEnv& env) {
+  Row key;
+  key.reserve(exprs.size());
+  for (const Expr* e : exprs) {
+    SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, env));
+    key.push_back(std::move(v));
+  }
+  return key;
+}
+
+// The tail of every uncorrelated join step: when each of `filters` holds
+// under `env` (which binds `row`), appends `combo` extended by `row` to
+// *out, failing once *out exceeds `max_rows` combinations.
+Status AppendIfAll(const std::vector<const Expr*>& filters, const RowEnv& env,
+                   const std::vector<const Row*>& combo, const Row* row,
+                   std::vector<std::vector<const Row*>>* out,
+                   int64_t max_rows) {
+  for (const Expr* f : filters) {
+    SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, env));
+    if (v != TriBool::kTrue) return Status::OK();
+  }
+  auto combo2 = combo;
+  combo2.push_back(row);
+  out->push_back(std::move(combo2));
+  if (static_cast<int64_t>(out->size()) > max_rows) {
+    return Status::ExecutionError("row limit exceeded during join");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void ExecStats::MergeFrom(const ExecStats& other) {
@@ -515,6 +546,18 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       }
     }
   };
+  // Calls fn(combo, &env) for the current combinations [cb, ce), binding
+  // each into one reused environment. Pure over shared state, so it serves
+  // the sequential loop and every morsel alike.
+  auto for_each_combo = [&](int64_t cb, int64_t ce, const auto& fn) -> Status {
+    RowEnv inner(&box_env);
+    for (int64_t ci = cb; ci < ce; ++ci) {
+      const auto& combo = current[static_cast<size_t>(ci)];
+      for (size_t i = 0; i < bound.size(); ++i) inner.Bind(bound[i], combo[i]);
+      SM_RETURN_IF_ERROR(fn(combo, &inner));
+    }
+    return Status::OK();
+  };
 
   for (Quantifier* q : forder) {
     // Correlated input: its subtree references quantifiers of this box.
@@ -541,6 +584,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       const Expr* other_side;  ///< expression over earlier quantifiers
     };
     std::vector<HashPred> hash_preds;
+    std::vector<const Expr*> hash_keys;  // other_side of each hash_preds entry
     std::vector<const Expr*> residual;
     for (const Expr* f : filters) {
       ColumnComparison cc;
@@ -554,59 +598,53 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
             break;
           }
         }
-        if (hashable) hash_preds.push_back(HashPred{f, cc.column, cc.other});
+        if (hashable) {
+          hash_preds.push_back(HashPred{f, cc.column, cc.other});
+          hash_keys.push_back(cc.other);
+        }
       }
       if (!hashable) residual.push_back(f);
     }
-
-    // Probe-one-combo helper shared by the hash paths. Pure over shared
-    // state except for *stats/*next, which the parallel path points at
-    // per-worker/per-morsel storage — so the same body serves the
-    // sequential loop and the morsel-partitioned one.
-    auto probe_matches =
-        [&](const std::vector<const Row*>& combo, RowEnv* inner,
-            const JoinHashTable& table,
-            const std::function<const Row*(int)>& row_at,
-            std::vector<std::vector<const Row*>>* next,
-            ExecStats* stats) -> Status {
-      Row key;
-      key.reserve(hash_preds.size());
-      for (const HashPred& hp : hash_preds) {
-        SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*hp.other_side, *inner));
-        key.push_back(std::move(v));
-      }
-      ++stats->join_probes;
-      const std::vector<int>* matches = table.Probe(key);
-      if (matches == nullptr) return Status::OK();
-      for (int ri : *matches) {
-        const Row* row = row_at(ri);
-        ++stats->rows_scanned;
-        inner->Bind(q->id, row);
-        bool keep = true;
-        for (const Expr* f : residual) {
-          SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-          if (v != TriBool::kTrue) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) {
-          auto combo2 = combo;
-          combo2.push_back(row);
-          next->push_back(std::move(combo2));
-          if (static_cast<int64_t>(next->size()) > options_.max_rows_per_box) {
-            return Status::ExecutionError("row limit exceeded during join");
-          }
-        }
-      }
-      inner->Unbind(q->id);
-      return Status::OK();
-    };
 
     std::vector<std::vector<const Row*>> next;
     int64_t next_bytes = 0;  // bytes charged for `next` (parallel paths)
     int64_t step_build_bytes = 0;  // hash build table, released at step end
     bool step_done = false;
+
+    // One probe step (hash table, equality index or ordered-range index):
+    // per combination, lookup(env, stats, &scratch) counts the probe and
+    // returns the candidate row ids (nullptr for none); each candidate
+    // bumps `counter`, binds q, and is kept when all of `keep_if` hold.
+    auto probe_step = [&](const auto& lookup, const auto& row_at,
+                          int64_t ExecStats::*counter,
+                          const std::vector<const Expr*>& keep_if) -> Status {
+      return RunStep(
+          static_cast<int64_t>(current.size()),
+          [&](int64_t cb, int64_t ce, ComboVec* out,
+              ExecStats* stats) -> Status {
+            std::vector<int> ids;
+            return for_each_combo(
+                cb, ce,
+                [&](const std::vector<const Row*>& combo,
+                    RowEnv* inner) -> Status {
+                  SM_ASSIGN_OR_RETURN(const std::vector<int>* matches,
+                                      lookup(*inner, stats, &ids));
+                  if (matches == nullptr) return Status::OK();
+                  for (int ri : *matches) {
+                    const Row* row = row_at(ri);
+                    ++(stats->*counter);
+                    inner->Bind(q->id, row);
+                    SM_RETURN_IF_ERROR(AppendIfAll(keep_if, *inner, combo, row,
+                                                   out,
+                                                   options_.max_rows_per_box));
+                  }
+                  inner->Unbind(q->id);
+                  return Status::OK();
+                });
+          },
+          &next, &next_bytes);
+    };
+    using Lookup = Result<const std::vector<int>*>;
 
     // Index-nested-loop: when the input is a stored table with a usable
     // secondary index and the bound side is no larger than the table,
@@ -619,6 +657,9 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       const Table* table = catalog_->GetTable(q->input->table_name());
       if (table != nullptr &&
           static_cast<int64_t>(current.size()) <= table->num_rows()) {
+        auto table_row = [table](int ri) {
+          return &table->rows()[static_cast<size_t>(ri)];
+        };
         if (!hash_preds.empty()) {
           // Equality probe (hash or ordered-prefix index).
           std::vector<int> bound_cols;
@@ -646,74 +687,16 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
             for (size_t i = 0; i < hash_preds.size(); ++i) {
               if (!used[i]) index_residual.push_back(hash_preds[i].orig);
             }
-            auto probe_index_eq = [&](const std::vector<const Row*>& combo,
-                                      RowEnv* inner, std::vector<int>* ids,
-                                      ComboVec* out,
-                                      ExecStats* stats) -> Status {
-              Row key;
-              key.reserve(key_exprs.size());
-              for (const Expr* e : key_exprs) {
-                SM_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, *inner));
-                key.push_back(std::move(v));
-              }
-              ++stats->index_probes;
-              ids->clear();
-              match->index->ProbeEqual(key, ids);
-              for (int ri : *ids) {
-                const Row* row = &table->rows()[static_cast<size_t>(ri)];
-                ++stats->index_rows_fetched;
-                inner->Bind(q->id, row);
-                bool keep = true;
-                for (const Expr* f : index_residual) {
-                  SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-                  if (v != TriBool::kTrue) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) {
-                  auto combo2 = combo;
-                  combo2.push_back(row);
-                  out->push_back(std::move(combo2));
-                  if (static_cast<int64_t>(out->size()) >
-                      options_.max_rows_per_box) {
-                    return Status::ExecutionError(
-                        "row limit exceeded during join");
-                  }
-                }
-              }
-              inner->Unbind(q->id);
-              return Status::OK();
-            };
-            if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-              SM_RETURN_IF_ERROR(ParallelAppend(
-                  static_cast<int64_t>(current.size()),
-                  [&](int64_t cb, int64_t ce, ComboVec* out,
-                      ExecStats* stats) -> Status {
-                    RowEnv inner(&box_env);
-                    std::vector<int> ids;
-                    for (int64_t ci = cb; ci < ce; ++ci) {
-                      const auto& combo = current[static_cast<size_t>(ci)];
-                      for (size_t i = 0; i < bound.size(); ++i) {
-                        inner.Bind(bound[i], combo[i]);
-                      }
-                      SM_RETURN_IF_ERROR(
-                          probe_index_eq(combo, &inner, &ids, out, stats));
-                    }
-                    return Status::OK();
-                  },
-                  &next, &next_bytes));
-            } else {
-              std::vector<int> ids;
-              for (const auto& combo : current) {
-                RowEnv inner(&box_env);
-                for (size_t i = 0; i < bound.size(); ++i) {
-                  inner.Bind(bound[i], combo[i]);
-                }
-                SM_RETURN_IF_ERROR(
-                    probe_index_eq(combo, &inner, &ids, &next, &stats_));
-              }
-            }
+            SM_RETURN_IF_ERROR(probe_step(
+                [&](const RowEnv& inner, ExecStats* stats,
+                    std::vector<int>* ids) -> Lookup {
+                  SM_ASSIGN_OR_RETURN(Row key, EvalKey(key_exprs, inner));
+                  ++stats->index_probes;
+                  ids->clear();
+                  match->index->ProbeEqual(key, ids);
+                  return ids;
+                },
+                table_row, &ExecStats::index_rows_fetched, index_residual));
             step_done = true;
           }
         } else {
@@ -751,80 +734,22 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
                         q->input->table_name(),
                         range_cc.column->column_index);
           if (ordered != nullptr) {
-            auto probe_index_range = [&](const std::vector<const Row*>& combo,
-                                         RowEnv* inner, std::vector<int>* ids,
-                                         ComboVec* out,
-                                         ExecStats* stats) -> Status {
-              SM_ASSIGN_OR_RETURN(Value v,
-                                  EvalScalar(*range_cc.other, *inner));
-              const Value* lo = nullptr;
-              const Value* hi = nullptr;
-              bool inclusive = range_cc.op == BinaryOp::kLtEq ||
-                               range_cc.op == BinaryOp::kGtEq;
-              if (range_cc.op == BinaryOp::kLt ||
-                  range_cc.op == BinaryOp::kLtEq) {
-                hi = &v;
-              } else {
-                lo = &v;
-              }
-              ++stats->index_probes;
-              ids->clear();
-              ordered->ProbeRange(lo, inclusive, hi, inclusive, ids);
-              for (int ri : *ids) {
-                const Row* row = &table->rows()[static_cast<size_t>(ri)];
-                ++stats->index_rows_fetched;
-                inner->Bind(q->id, row);
-                bool keep = true;
-                for (const Expr* f : residual) {
-                  SM_ASSIGN_OR_RETURN(TriBool tv, EvalPredicate(*f, *inner));
-                  if (tv != TriBool::kTrue) {
-                    keep = false;
-                    break;
-                  }
-                }
-                if (keep) {
-                  auto combo2 = combo;
-                  combo2.push_back(row);
-                  out->push_back(std::move(combo2));
-                  if (static_cast<int64_t>(out->size()) >
-                      options_.max_rows_per_box) {
-                    return Status::ExecutionError(
-                        "row limit exceeded during join");
-                  }
-                }
-              }
-              inner->Unbind(q->id);
-              return Status::OK();
-            };
-            if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-              SM_RETURN_IF_ERROR(ParallelAppend(
-                  static_cast<int64_t>(current.size()),
-                  [&](int64_t cb, int64_t ce, ComboVec* out,
-                      ExecStats* stats) -> Status {
-                    RowEnv inner(&box_env);
-                    std::vector<int> ids;
-                    for (int64_t ci = cb; ci < ce; ++ci) {
-                      const auto& combo = current[static_cast<size_t>(ci)];
-                      for (size_t i = 0; i < bound.size(); ++i) {
-                        inner.Bind(bound[i], combo[i]);
-                      }
-                      SM_RETURN_IF_ERROR(
-                          probe_index_range(combo, &inner, &ids, out, stats));
-                    }
-                    return Status::OK();
-                  },
-                  &next, &next_bytes));
-            } else {
-              std::vector<int> ids;
-              for (const auto& combo : current) {
-                RowEnv inner(&box_env);
-                for (size_t i = 0; i < bound.size(); ++i) {
-                  inner.Bind(bound[i], combo[i]);
-                }
-                SM_RETURN_IF_ERROR(
-                    probe_index_range(combo, &inner, &ids, &next, &stats_));
-              }
-            }
+            const bool upper = range_cc.op == BinaryOp::kLt ||
+                               range_cc.op == BinaryOp::kLtEq;
+            const bool inclusive = range_cc.op == BinaryOp::kLtEq ||
+                                   range_cc.op == BinaryOp::kGtEq;
+            SM_RETURN_IF_ERROR(probe_step(
+                [&](const RowEnv& inner, ExecStats* stats,
+                    std::vector<int>* ids) -> Lookup {
+                  SM_ASSIGN_OR_RETURN(Value v,
+                                      EvalScalar(*range_cc.other, inner));
+                  ++stats->index_probes;
+                  ids->clear();
+                  ordered->ProbeRange(upper ? nullptr : &v, inclusive,
+                                      upper ? &v : nullptr, inclusive, ids);
+                  return ids;
+                },
+                table_row, &ExecStats::index_rows_fetched, residual));
             step_done = true;
           }
         }
@@ -926,39 +851,18 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
           build_bytes += build_chunk;
           SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
         }
-        auto row_at = [&input_rows](int ri) {
-          return input_rows[static_cast<size_t>(ri)];
-        };
-        if (ShouldParallelize(static_cast<int64_t>(current.size()))) {
-          // Partitioned probe: the build table is shared read-only; each
-          // worker probes its combos into a per-morsel buffer which
-          // ParallelAppend concatenates in morsel (= sequential) order.
-          SM_RETURN_IF_ERROR(ParallelAppend(
-              static_cast<int64_t>(current.size()),
-              [&](int64_t cb, int64_t ce, ComboVec* out,
-                  ExecStats* stats) -> Status {
-                RowEnv inner(&box_env);
-                for (int64_t ci = cb; ci < ce; ++ci) {
-                  const auto& combo = current[static_cast<size_t>(ci)];
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  SM_RETURN_IF_ERROR(probe_matches(combo, &inner, table,
-                                                   row_at, out, stats));
-                }
-                return Status::OK();
-              },
-              &next, &next_bytes));
-        } else {
-          for (const auto& combo : current) {
-            RowEnv inner(&box_env);
-            for (size_t i = 0; i < bound.size(); ++i) {
-              inner.Bind(bound[i], combo[i]);
-            }
-            SM_RETURN_IF_ERROR(
-                probe_matches(combo, &inner, table, row_at, &next, &stats_));
-          }
-        }
+        // The build table is shared read-only by every probing morsel.
+        SM_RETURN_IF_ERROR(probe_step(
+            [&](const RowEnv& inner, ExecStats* stats,
+                std::vector<int>*) -> Lookup {
+              SM_ASSIGN_OR_RETURN(Row key, EvalKey(hash_keys, inner));
+              ++stats->join_probes;
+              return table.Probe(key);
+            },
+            [&input_rows](int ri) {
+              return input_rows[static_cast<size_t>(ri)];
+            },
+            &ExecStats::rows_scanned, residual));
         // The build table dies with this step, but its bytes are held
         // until the end-of-step coordinator point below: parallel probes
         // charge output combos while the build table is live, so the
@@ -968,80 +872,47 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       } else {
         // Nested loop with all filters (filter-only steps and joins with
         // no usable equality).
-        auto scan_rows = [&](const std::vector<const Row*>& combo,
-                             RowEnv* inner, int64_t rb, int64_t re,
-                             ComboVec* out, ExecStats* stats) -> Status {
-          for (int64_t r = rb; r < re; ++r) {
-            const Row* row = input_rows[static_cast<size_t>(r)];
-            inner->Bind(q->id, row);
-            ++stats->join_probes;
-            bool keep = true;
-            for (const Expr* f : filters) {
-              SM_ASSIGN_OR_RETURN(TriBool v, EvalPredicate(*f, *inner));
-              if (v != TriBool::kTrue) {
-                keep = false;
-                break;
-              }
-            }
-            if (keep) {
-              auto combo2 = combo;
-              combo2.push_back(row);
-              out->push_back(std::move(combo2));
-              if (static_cast<int64_t>(out->size()) >
-                  options_.max_rows_per_box) {
-                return Status::ExecutionError("row limit exceeded during join");
-              }
-            }
-          }
-          inner->Unbind(q->id);
-          return Status::OK();
-        };
         const int64_t num_combos = static_cast<int64_t>(current.size());
         const int64_t num_input = static_cast<int64_t>(input_rows.size());
-        if (ShouldParallelize(num_combos) && num_combos >= num_input) {
-          // Split over the (larger) outer combination set.
-          SM_RETURN_IF_ERROR(ParallelAppend(
-              num_combos,
-              [&](int64_t cb, int64_t ce, ComboVec* out,
-                  ExecStats* stats) -> Status {
-                RowEnv inner(&box_env);
-                for (int64_t ci = cb; ci < ce; ++ci) {
-                  const auto& combo = current[static_cast<size_t>(ci)];
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  SM_RETURN_IF_ERROR(
-                      scan_rows(combo, &inner, 0, num_input, out, stats));
+        auto scan_rows = [&](int64_t cb, int64_t ce, int64_t rb, int64_t re,
+                             ComboVec* out, ExecStats* stats) -> Status {
+          return for_each_combo(
+              cb, ce,
+              [&](const std::vector<const Row*>& combo,
+                  RowEnv* inner) -> Status {
+                for (int64_t r = rb; r < re; ++r) {
+                  const Row* row = input_rows[static_cast<size_t>(r)];
+                  inner->Bind(q->id, row);
+                  ++stats->join_probes;
+                  SM_RETURN_IF_ERROR(AppendIfAll(filters, *inner, combo, row,
+                                                 out,
+                                                 options_.max_rows_per_box));
                 }
+                inner->Unbind(q->id);
                 return Status::OK();
-              },
-              &next, &next_bytes));
-        } else if (ShouldParallelize(num_input)) {
+              });
+        };
+        if (num_input > num_combos && ShouldParallelize(num_input)) {
           // Partitioned scan: split the input rows (the common shape — a
           // base-table or box scan with predicate evaluation has a single
           // empty combo), one barrier per combo.
-          for (const auto& combo : current) {
+          for (int64_t ci = 0; ci < num_combos; ++ci) {
             SM_RETURN_IF_ERROR(ParallelAppend(
                 num_input,
                 [&](int64_t rb, int64_t re, ComboVec* out,
                     ExecStats* stats) -> Status {
-                  RowEnv inner(&box_env);
-                  for (size_t i = 0; i < bound.size(); ++i) {
-                    inner.Bind(bound[i], combo[i]);
-                  }
-                  return scan_rows(combo, &inner, rb, re, out, stats);
+                  return scan_rows(ci, ci + 1, rb, re, out, stats);
                 },
                 &next, &next_bytes));
           }
         } else {
-          for (const auto& combo : current) {
-            RowEnv inner(&box_env);
-            for (size_t i = 0; i < bound.size(); ++i) {
-              inner.Bind(bound[i], combo[i]);
-            }
-            SM_RETURN_IF_ERROR(scan_rows(combo, &inner, 0, num_input, &next,
-                                         &stats_));
-          }
+          SM_RETURN_IF_ERROR(RunStep(
+              num_combos,
+              [&](int64_t cb, int64_t ce, ComboVec* out,
+                  ExecStats* stats) -> Status {
+                return scan_rows(cb, ce, 0, num_input, out, stats);
+              },
+              &next, &next_bytes));
         }
       }
     }

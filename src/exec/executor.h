@@ -29,7 +29,8 @@ struct ExecOptions {
   /// tables when a matching index exists and the build side is smaller
   /// than the stored table. Disable to force scans (A/B benchmarks).
   bool use_secondary_indexes = true;
-  /// Hard cap on rows produced by any single box evaluation (safety).
+  /// Safety cap, per select-box evaluation, on the combinations each join
+  /// step produces and on the rows the projection produces.
   int64_t max_rows_per_box = 200'000'000;
   /// Cap on fixpoint iterations for recursive components.
   int max_fixpoint_iterations = 100'000;
@@ -52,12 +53,12 @@ struct ExecOptions {
   /// tables; the split is a function of input size only, never of the
   /// thread count, so results cannot shift with it.
   int64_t morsel_size = 2048;
-  /// Per-query resource governor (not owned, may outlive-the-run null).
-  /// When set, the executor charges every materialized allocation against
-  /// the governor's byte budget — join combination buffers, hash-join
-  /// build tables, box-result caches, fixpoint relations — and polls it
-  /// for cancellation/deadline at box entry, morsel boundaries, and each
-  /// fixpoint round. Null skips all accounting (zero overhead).
+  /// Per-query resource governor (not owned, may be null; must outlive the
+  /// run). When set, the executor charges every materialized allocation
+  /// against the governor's byte budget — join combination buffers,
+  /// hash-join build tables, box-result caches, fixpoint relations — and
+  /// polls it for cancellation/deadline at box entry, morsel boundaries,
+  /// and each fixpoint round. Null skips all accounting (zero overhead).
   ResourceGovernor* governor = nullptr;
   /// Live-progress sink for this query (not owned, may be null). Updated
   /// with wait-free relaxed stores at the same sites the governor polls —
@@ -185,6 +186,19 @@ class Executor {
       const std::function<Status(int64_t begin, int64_t end, ComboVec* out,
                                  ExecStats* stats)>& body,
       ComboVec* next, int64_t* charged_bytes);
+
+  /// Runs one join step's `body` (ParallelAppend's contract) over the `n`
+  /// current combinations: through ParallelAppend when ShouldParallelize(n),
+  /// otherwise as one body(0, n, next, &stats_) call writing straight into
+  /// *next (the caller charges that output at the step's end).
+  template <typename Body>
+  Status RunStep(int64_t n, const Body& body, ComboVec* next,
+                 int64_t* charged_bytes) {
+    if (ShouldParallelize(n)) {
+      return ParallelAppend(n, body, next, charged_bytes);
+    }
+    return body(0, n, next, &stats_);
+  }
 
   QueryGraph* graph_;
   const Catalog* catalog_;

@@ -732,22 +732,14 @@ Result<ExprPtr> QgmBuilder::BuildExpr(QueryGraph* g, Box* box, Scope* scope,
       SM_ASSIGN_OR_RETURN(
           ExprPtr operand,
           BuildExpr(g, box, scope, *in.operand, allow_aggregates));
-      ExprPtr disjunction;
+      std::vector<ExprPtr> items;
+      items.reserve(in.list.size());
       for (const AstExprPtr& item : in.list) {
         SM_ASSIGN_OR_RETURN(ExprPtr rhs,
                             BuildExpr(g, box, scope, *item, allow_aggregates));
-        ExprPtr eq = Expr::MakeBinary(BinaryOp::kEq, operand->Clone(),
-                                      std::move(rhs));
-        disjunction = disjunction
-                          ? Expr::MakeBinary(BinaryOp::kOr,
-                                             std::move(disjunction),
-                                             std::move(eq))
-                          : std::move(eq);
+        items.push_back(std::move(rhs));
       }
-      if (in.negated) {
-        disjunction = Expr::MakeUnary(UnaryOp::kNot, std::move(disjunction));
-      }
-      return disjunction;
+      return LowerInList(std::move(operand), std::move(items), in.negated);
     }
     case AstExprKind::kAggregate: {
       if (!allow_aggregates) {

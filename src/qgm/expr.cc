@@ -257,6 +257,34 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {
 
 namespace {
 
+// OR of `operand = items[i]` for i in [lo, hi), split at the midpoint.
+ExprPtr BalancedInDisjunction(const Expr& operand,
+                              std::vector<ExprPtr>* items, size_t lo,
+                              size_t hi) {
+  if (hi - lo == 1) {
+    return Expr::MakeBinary(BinaryOp::kEq, operand.Clone(),
+                            std::move((*items)[lo]));
+  }
+  size_t mid = lo + (hi - lo) / 2;
+  return Expr::MakeBinary(BinaryOp::kOr,
+                          BalancedInDisjunction(operand, items, lo, mid),
+                          BalancedInDisjunction(operand, items, mid, hi));
+}
+
+}  // namespace
+
+ExprPtr LowerInList(ExprPtr operand, std::vector<ExprPtr> items,
+                    bool negated) {
+  ExprPtr disjunction =
+      BalancedInDisjunction(*operand, &items, 0, items.size());
+  if (negated) {
+    disjunction = Expr::MakeUnary(UnaryOp::kNot, std::move(disjunction));
+  }
+  return disjunction;
+}
+
+namespace {
+
 BinaryOp MirrorOp(BinaryOp op) {
   switch (op) {
     case BinaryOp::kLt:

@@ -114,6 +114,14 @@ void SplitConjuncts(ExprPtr expr, std::vector<ExprPtr>* out);
 /// AND-combines conjuncts into one expression (nullptr if empty).
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 
+/// Lowers `operand IN (items)` (`NOT IN` when `negated`) to one
+/// `operand = item` per item, OR-combined as a balanced tree in list order:
+/// a list of n items nests about log2(n) deep instead of n, so long lists
+/// cannot exhaust the stack in recursive passes. OR is associative in
+/// three-valued logic and still evaluates left to right, so the answer and
+/// the first error match a left-deep chain. `items` must be non-empty.
+ExprPtr LowerInList(ExprPtr operand, std::vector<ExprPtr> items, bool negated);
+
 /// If `e` is `<colref> op <expr-not-referencing-colref-quantifier>` or the
 /// mirrored form, returns the colref side, op (normalized so the colref is
 /// on the left), and the other side. Used by pushdown/adornment.

@@ -250,21 +250,70 @@ TEST_F(GovernorExecTest, ExpiredDeadlineFailsIdenticallyAcrossThreads) {
 }
 
 TEST_F(GovernorExecTest, GovernedSuccessIsDeterministicIncludingPeak) {
-  const char* sql =
-      "SELECT f.id, d.label FROM fact f, dim d "
-      "WHERE f.grp = d.grp AND f.amount > 50";
-  GovOutcome seq = Run(sql, 1, ResourceBudget::Unlimited());
-  ASSERT_TRUE(seq.status.ok()) << seq.status.ToString();
-  EXPECT_GT(seq.governor.peak_bytes, 0);
-  EXPECT_GT(seq.governor.cancel_checks, 0);
-  for (int threads : {2, 8}) {
-    GovOutcome par = Run(sql, threads, ResourceBudget::Unlimited());
-    std::string label = StrCat("threads=", threads);
-    ASSERT_TRUE(par.status.ok()) << label << " " << par.status.ToString();
-    ExpectSameRows(seq.table, par.table, label);
-    // Peak accounting is content-based and releases are coordinator-only,
-    // so the high-water mark is thread-count invariant.
-    EXPECT_EQ(par.governor.peak_bytes, seq.governor.peak_bytes) << label;
+  // One query per join step kind. Each shape's index exists only while
+  // that shape runs, so the other shapes keep their step kinds.
+  struct Shape {
+    const char* name;
+    const char* setup;
+    const char* teardown;
+    const char* sql;
+    QueryOptions qopts;
+    bool probes_index;
+  };
+  const Shape shapes[] = {
+      {"hash", nullptr, nullptr,
+       "SELECT f.id, d.label FROM fact f, dim d "
+       "WHERE f.grp = d.grp AND f.amount > 50",
+       QueryOptions(), false},
+      {"index-equality", "CREATE INDEX fact_grp ON fact (grp)",
+       "DROP INDEX fact_grp",
+       "SELECT f.id FROM dim d, fact f WHERE d.grp = f.grp", QueryOptions(),
+       true},
+      {"index-range", "CREATE INDEX fact_id ON fact (id) USING ORDERED",
+       "DROP INDEX fact_id",
+       "SELECT f.id, d.grp FROM dim d, fact f WHERE f.id < d.grp",
+       QueryOptions(), true},
+      {"non-equi nested loop", nullptr, nullptr,
+       "SELECT f.id, d.grp FROM fact f, dim d "
+       "WHERE f.grp < d.grp AND f.id < 100",
+       QueryOptions(), false},
+      {"filter scan", nullptr, nullptr,
+       "SELECT id, amount FROM fact WHERE amount > 100", QueryOptions(),
+       false},
+      // The Correlated strategy moves the join predicate into the view, so
+      // the view is evaluated once per dim row inside the join step.
+      {"correlated nested loop",
+       "CREATE VIEW grp_total (grp, total) AS "
+       "SELECT grp, SUM(amount) FROM fact GROUP BY grp",
+       "DROP VIEW grp_total",
+       "SELECT d.label, v.total FROM dim d, grp_total v WHERE d.grp = v.grp",
+       QueryOptions(ExecutionStrategy::kCorrelated), false},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    if (shape.setup != nullptr) {
+      ASSERT_TRUE(db_.Execute(shape.setup).ok());
+    }
+    GovOutcome seq = Run(shape.sql, 1, ResourceBudget::Unlimited(), nullptr,
+                         shape.qopts);
+    ASSERT_TRUE(seq.status.ok()) << seq.status.ToString();
+    EXPECT_GT(seq.table.num_rows(), 0);
+    EXPECT_GT(seq.governor.peak_bytes, 0);
+    EXPECT_GT(seq.governor.cancel_checks, 0);
+    EXPECT_EQ(seq.stats.index_probes > 0, shape.probes_index);
+    for (int threads : {2, 8}) {
+      GovOutcome par = Run(shape.sql, threads, ResourceBudget::Unlimited(),
+                           nullptr, shape.qopts);
+      std::string label = StrCat("threads=", threads);
+      ASSERT_TRUE(par.status.ok()) << label << " " << par.status.ToString();
+      ExpectSameRows(seq.table, par.table, label);
+      // Peak accounting is content-based and releases are coordinator-only,
+      // so the high-water mark is thread-count invariant.
+      EXPECT_EQ(par.governor.peak_bytes, seq.governor.peak_bytes) << label;
+    }
+    if (shape.teardown != nullptr) {
+      ASSERT_TRUE(db_.Execute(shape.teardown).ok());
+    }
   }
 }
 

@@ -299,6 +299,19 @@ TEST_F(ParallelExecutorTest, IndexProbeIsDeterministic) {
   ExpectDeterministic("SELECT f.id FROM dim d, fact f WHERE d.grp = f.grp");
 }
 
+TEST_F(ParallelExecutorTest, IndexRangeProbeIsDeterministic) {
+  ASSERT_TRUE(
+      db_.Execute("CREATE INDEX fact_id ON fact (id) USING ORDERED").ok());
+  // dim drives: its 23 combinations (more than one 16-row morsel) each
+  // probe the ordered index for f.id < d.grp.
+  const char* sql = "SELECT f.id, d.grp FROM dim d, fact f WHERE f.id < d.grp";
+  RunOutcome par = Run(sql, 8);
+  ASSERT_TRUE(par.status.ok()) << par.status.ToString();
+  ASSERT_GT(par.stats.index_probes, 0);
+  ASSERT_GT(par.parallel.tasks, 0);
+  ExpectDeterministic(sql);
+}
+
 TEST_F(ParallelExecutorTest, BoxRowsOutReconcilesWithRowsProduced) {
   for (int threads : {1, 2, 8}) {
     RunOutcome out = Run(
@@ -322,17 +335,35 @@ TEST_F(ParallelExecutorTest, ParallelStatsPopulatedOnlyWhenParallel) {
 }
 
 TEST_F(ParallelExecutorTest, RowLimitErrorIsDeterministic) {
-  // The join produces ~500 rows; a 100-row cap must fail identically at
-  // every thread count (per-morsel caps + post-merge total check).
-  const char* sql =
-      "SELECT f.id, d.label FROM fact f, dim d WHERE f.grp = d.grp";
-  RunOutcome seq = Run(sql, 1, QueryOptions(), /*max_rows_per_box=*/100);
-  ASSERT_FALSE(seq.status.ok());
-  for (int threads : {2, 8}) {
-    RunOutcome par = Run(sql, threads, QueryOptions(),
-                         /*max_rows_per_box=*/100);
-    ASSERT_FALSE(par.status.ok()) << "threads=" << threads;
-    EXPECT_EQ(par.status.ToString(), seq.status.ToString());
+  // Each join step kind produces several hundred combinations; a 100-row
+  // cap must fail identically at every thread count (per-morsel caps +
+  // post-merge total check). The index is created only before the query
+  // that probes it, so the earlier queries keep their step kinds.
+  struct Case {
+    const char* setup;
+    const char* sql;
+  };
+  for (const Case& c : {
+           Case{nullptr,  // hash probe
+                "SELECT f.id, d.label FROM fact f, dim d WHERE f.grp = d.grp"},
+           Case{nullptr,  // nested loop
+                "SELECT f.id, d.grp FROM fact f, dim d WHERE f.grp < d.grp"},
+           Case{nullptr,  // filter scan
+                "SELECT id FROM fact WHERE amount > 10"},
+           Case{"CREATE INDEX fact_grp ON fact (grp)",  // index equality
+                "SELECT f.id FROM dim d, fact f WHERE d.grp = f.grp"},
+       }) {
+    if (c.setup != nullptr) {
+      ASSERT_TRUE(db_.Execute(c.setup).ok());
+    }
+    RunOutcome seq = Run(c.sql, 1, QueryOptions(), /*max_rows_per_box=*/100);
+    ASSERT_FALSE(seq.status.ok()) << c.sql;
+    for (int threads : {2, 8}) {
+      RunOutcome par = Run(c.sql, threads, QueryOptions(),
+                           /*max_rows_per_box=*/100);
+      ASSERT_FALSE(par.status.ok()) << c.sql << " threads=" << threads;
+      EXPECT_EQ(par.status.ToString(), seq.status.ToString()) << c.sql;
+    }
   }
 }
 
