@@ -20,6 +20,14 @@ cmake --build "${BUILD}" -j "$(nproc)"
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
+
+# Compile identity under ASan, as its own step: any change to a chosen
+# plan, C1/C2 or emst_chosen of the golden query set fails here with the
+# first differing line of tests/golden/compile_identity.txt (ctest below
+# runs it again with the rest of the suite).
+echo "== compile identity golden (asan) =="
+"${BUILD}/tests/compile_golden_test"
+
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
 # Observability server smoke under ASan: start → scrape → shutdown, with

@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include "common/string_util.h"
+#include "sql/parser.h"
 #include "sys/system_tables.h"
 
 namespace starmagic {
@@ -34,6 +35,9 @@ Status Catalog::CreateView(ViewDefinition view) {
   if (tables_.count(key) || views_.count(key)) {
     return Status::AlreadyExists(
         StrCat("relation '", view.name, "' already exists"));
+  }
+  if (view.body == nullptr) {
+    SM_ASSIGN_OR_RETURN(view.body, ParseQuery(view.body_sql));
   }
   views_[key] = std::move(view);
   ++ddl_version_;

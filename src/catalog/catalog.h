@@ -17,18 +17,23 @@ namespace starmagic {
 
 class SystemTableRegistry;
 class SysSnapshot;
+struct AstBlob;
 
-/// A stored view definition. The body is kept as SQL text; the QGM builder
-/// parses and expands it at query-build time (Starburst likewise kept view
-/// definitions in QGM form and grafted them into queries).
+/// A stored view definition. The body is kept parsed: the QGM builder
+/// expands the same AST into every query that references the view, without
+/// parsing it again (Starburst likewise kept view definitions in QGM form
+/// and grafted them into queries).
 struct ViewDefinition {
   std::string name;
   /// Optional explicit output column names (empty = derive from body).
   std::vector<std::string> column_names;
-  /// The view body, e.g. "SELECT ... FROM ...".
+  /// The view body as written, e.g. "SELECT ... FROM ..." (sys.views).
   std::string body_sql;
-  /// True if the view (possibly mutually) references itself; computed by
-  /// the builder on first use and cached here for diagnostics.
+  /// The parsed body_sql. CREATE VIEW hands over the statement's AST;
+  /// Catalog::CreateView parses body_sql when this is null.
+  std::shared_ptr<const AstBlob> body;
+  /// True for CREATE RECURSIVE VIEW: the body may (mutually) reference the
+  /// view itself.
   bool is_recursive = false;
 };
 
@@ -42,7 +47,8 @@ class Catalog {
 
   /// Creates an empty table. Fails if a table or view with the name exists.
   Status CreateTable(const std::string& name, Schema schema);
-  /// Registers a view. Fails if a table or view with the name exists.
+  /// Registers a view. Fails if a table or view with the name exists, or
+  /// if `view.body` is null and `view.body_sql` does not parse.
   Status CreateView(ViewDefinition view);
 
   Status DropTable(const std::string& name);

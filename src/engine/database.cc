@@ -106,24 +106,25 @@ Status Database::Execute(const std::string& sql) {
 
 Status Database::ExecuteScript(const std::string& sql) {
   SM_ASSIGN_OR_RETURN(auto stmts, ParseScript(sql));
-  for (const auto& stmt : stmts) {
+  for (auto& stmt : stmts) {
     SM_RETURN_IF_ERROR(ExecuteStatement(*stmt));
   }
   return Status::OK();
 }
 
-Status Database::ExecuteStatement(const AstStatement& stmt) {
+Status Database::ExecuteStatement(AstStatement& stmt) {
   switch (stmt.kind) {
     case StatementKind::kCreateTable: {
       const auto& ct = static_cast<const AstCreateTable&>(stmt);
       return catalog_.CreateTable(ct.name, ct.schema);
     }
     case StatementKind::kCreateView: {
-      const auto& cv = static_cast<const AstCreateView&>(stmt);
+      auto& cv = static_cast<AstCreateView&>(stmt);
       ViewDefinition view;
       view.name = cv.name;
       view.column_names = cv.column_names;
       view.body_sql = cv.body_sql;
+      view.body = std::move(cv.body);
       view.is_recursive = cv.recursive;
       return catalog_.CreateView(std::move(view));
     }

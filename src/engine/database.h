@@ -216,7 +216,9 @@ class Database {
     QueryResult result;
   };
 
-  Status ExecuteStatement(const AstStatement& stmt);
+  /// Runs a DDL/DML statement. CREATE VIEW moves the parsed body out of
+  /// `stmt` into the catalog.
+  Status ExecuteStatement(AstStatement& stmt);
 
   /// Lowers `blob` to QGM and runs the optimization pipeline with the
   /// sinks from `options` attached.

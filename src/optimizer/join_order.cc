@@ -16,7 +16,6 @@ struct QuantInfo {
 // Bitmask of `fq` indexes referenced by the subtree of `start` (correlated
 // inputs must be joined after their producers).
 uint32_t SubtreeDeps(Box* start, const std::vector<QuantInfo>& fq) {
-  std::set<int> qid_to_bit;
   std::map<int, int> bit_of;
   for (size_t i = 0; i < fq.size(); ++i) bit_of[fq[i].q->id] = static_cast<int>(i);
   uint32_t deps = 0;
@@ -47,9 +46,7 @@ uint32_t SubtreeDeps(Box* start, const std::vector<QuantInfo>& fq) {
 
 }  // namespace
 
-JoinOrderResult ChooseJoinOrder(const QueryGraph& graph, const Box* cbox,
-                                CostModel* cost_model) {
-  (void)graph;
+JoinOrderResult ChooseJoinOrder(const Box* cbox, CostModel* cost_model) {
   Box* box = const_cast<Box*>(cbox);
   JoinOrderResult result;
   if (box->kind() != BoxKind::kSelect && box->kind() != BoxKind::kCustom) {
@@ -59,13 +56,11 @@ JoinOrderResult ChooseJoinOrder(const QueryGraph& graph, const Box* cbox,
 
   // Gather ForEach quantifiers; keep declaration order as the fallback.
   std::vector<QuantInfo> fq;
-  CardinalityEstimator* est = nullptr;
   for (const auto& q : box->quantifiers()) {
     if (q->type == QuantifierType::kForEach) {
       fq.push_back(QuantInfo{q.get(), 0, 0});
     }
   }
-  (void)est;
   if (fq.size() <= 1 || fq.size() > 28) {
     std::vector<int> decl;
     for (const QuantInfo& info : fq) decl.push_back(info.q->id);

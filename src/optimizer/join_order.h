@@ -19,8 +19,7 @@ struct JoinOrderResult {
 
 inline constexpr int kDpLimit = 10;
 
-JoinOrderResult ChooseJoinOrder(const QueryGraph& graph, const Box* box,
-                                CostModel* cost_model);
+JoinOrderResult ChooseJoinOrder(const Box* box, CostModel* cost_model);
 
 }  // namespace starmagic
 

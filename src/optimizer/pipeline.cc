@@ -1,6 +1,8 @@
 #include "optimizer/pipeline.h"
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "common/string_util.h"
@@ -126,24 +128,29 @@ bool ContainsExpensiveView(Box* box) {
   return false;
 }
 
-// Rewrites every select box's join order so quantifiers over expensive
-// views come after the restricting quantifiers (stable within each class).
-void ApplySipsFriendlyOrders(QueryGraph* graph) {
-  for (Box* box : graph->boxes()) {
+// The sips-friendly join order of every select box where it differs from
+// the current order: quantifiers over expensive views move after the
+// restricting quantifiers (stable within each class). Keyed by box id, so
+// the orders apply to a Clone of `graph` too. Empty when no join order
+// would change, i.e. the sips candidate would repeat the optimizer-order
+// candidate exactly.
+std::map<int, std::vector<int>> SipsFriendlyOrders(const QueryGraph& graph) {
+  std::map<int, std::vector<int>> changed;
+  for (Box* box : graph.boxes()) {
     if (box->kind() != BoxKind::kSelect && box->kind() != BoxKind::kCustom) {
       continue;
     }
     std::vector<Quantifier*> order = OrderedForEachQuantifiers(box);
     if (order.size() < 2) continue;
-    std::vector<int> cheap;
-    std::vector<int> expensive;
-    for (Quantifier* q : order) {
-      (ContainsExpensiveView(q->input) ? expensive : cheap).push_back(q->id);
-    }
-    if (cheap.empty() || expensive.empty()) continue;
-    cheap.insert(cheap.end(), expensive.begin(), expensive.end());
-    box->set_join_order(std::move(cheap));
+    std::vector<Quantifier*> sips = order;
+    std::stable_partition(sips.begin(), sips.end(), [](Quantifier* q) {
+      return !ContainsExpensiveView(q->input);
+    });
+    if (sips == order) continue;
+    std::vector<int>& ids = changed[box->id()];
+    for (Quantifier* q : sips) ids.push_back(q->id);
   }
+  return changed;
 }
 
 }  // namespace
@@ -209,10 +216,18 @@ Result<PipelineResult> OptimizeQuery(std::unique_ptr<QueryGraph> graph,
 
   // ---- Magic: keep the no-EMST plan for the §3.2 comparison ------------------
   std::unique_ptr<QueryGraph> no_emst = graph->Clone();
+  // The sips-order candidate runs only when it reorders some join: with
+  // every order unchanged it would rebuild the same graph and the same C2,
+  // which the strict `<` below never prefers.
   std::unique_ptr<QueryGraph> sips_variant;
   if (options.try_sips_order) {
-    sips_variant = graph->Clone();
-    ApplySipsFriendlyOrders(sips_variant.get());
+    std::map<int, std::vector<int>> sips_orders = SipsFriendlyOrders(*graph);
+    if (!sips_orders.empty()) {
+      sips_variant = graph->Clone();
+      for (auto& [box_id, order] : sips_orders) {
+        sips_variant->GetBox(box_id)->set_join_order(std::move(order));
+      }
+    }
   }
 
   // Phases 2 and 3 on one candidate graph; returns the plan-2 cost.

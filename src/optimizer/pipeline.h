@@ -44,7 +44,10 @@ struct PipelineOptions {
   /// cost comparison pick among {no-EMST, EMST@optimizer-order,
   /// EMST@sips-order}. The paper notes the transformation is very
   /// sensitive to the join order (§2); DB2 experiments iterated orders
-  /// manually through the optimizer (§3.2).
+  /// manually through the optimizer (§3.2). The candidate (and its
+  /// "-sips" phases) runs only when that order differs from the
+  /// optimizer's in some box; otherwise it would repeat the
+  /// optimizer-order candidate exactly.
   bool try_sips_order = true;
   /// Capture PrintGraph snapshots after each phase (Figure 4 bench).
   bool capture_snapshots = false;

@@ -30,7 +30,7 @@ PlanInfo OptimizePlan(QueryGraph* graph, const Catalog* catalog,
     if (box->kind() != BoxKind::kSelect && box->kind() != BoxKind::kCustom) {
       continue;
     }
-    JoinOrderResult chosen = ChooseJoinOrder(*graph, box, &cost_model);
+    JoinOrderResult chosen = ChooseJoinOrder(box, &cost_model);
     box->set_join_order(chosen.order);
     info.join_orders[box->id()] = chosen.order;
   }

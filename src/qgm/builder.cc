@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/string_util.h"
-#include "sql/parser.h"
 
 namespace starmagic {
 
@@ -504,7 +503,7 @@ Result<Box*> QgmBuilder::ResolveRelation(QueryGraph* g,
 
 Result<Box*> QgmBuilder::BuildView(QueryGraph* g, const ViewDefinition& view) {
   std::string key = ToLower(view.name);
-  SM_ASSIGN_OR_RETURN(std::unique_ptr<AstBlob> body, ParseQuery(view.body_sql));
+  const AstBlob* body = view.body.get();
   if (!body->order_by.empty() || body->limit.has_value()) {
     return Status::NotSupported(
         StrCat("view '", view.name, "': ORDER BY / LIMIT not allowed in views"));

@@ -15,7 +15,9 @@ struct RuleRunStats {
   std::string rule;
   int64_t fires = 0;     ///< applications that changed the graph
   int64_t attempts = 0;  ///< (rule, box) offers
-  double wall_ms = 0;    ///< time spent inside Apply (fired or not)
+  /// Time of this rule's attempts (fired or not): each spans from the end
+  /// of the previous attempt in the pass to the end of its own Apply.
+  double wall_ms = 0;
 };
 
 /// Aggregate outcome of one RewriteEngine::Run.

@@ -30,11 +30,10 @@ void CollectTargetColumns(const Expr& e, std::set<int>* out) {
 // group-key exprs) into the groupby's input box. For set-ops the template
 // is pushed into every branch.
 Result<bool> PushImpl(QueryGraph* graph, Box* box, const Expr& pred,
-                      bool apply, bool is_root) {
+                      bool apply) {
   // A shared box must not be filtered on behalf of a single user. The root
   // call also enforces this: the caller removes the predicate from the
   // parent, so other users of `box` would silently lose rows.
-  (void)is_root;
   if (graph->UsesOf(box).size() > 1) return false;
 
   switch (box->kind()) {
@@ -64,19 +63,18 @@ Result<bool> PushImpl(QueryGraph* graph, Box* box, const Expr& pred,
         return std::make_pair(kTargetOutputs, key->column_index);
       });
       Box* input = box->quantifiers()[0]->input;
-      return PushImpl(graph, input, *rerouted, apply, false);
+      return PushImpl(graph, input, *rerouted, apply);
     }
     case BoxKind::kSetOp: {
       for (const auto& q : box->quantifiers()) {
         SM_ASSIGN_OR_RETURN(bool ok,
-                            PushImpl(graph, q->input, pred, /*apply=*/false,
-                                     false));
+                            PushImpl(graph, q->input, pred, /*apply=*/false));
         if (!ok) return false;
       }
       if (!apply) return true;
       for (const auto& q : box->quantifiers()) {
-        SM_ASSIGN_OR_RETURN(bool ok, PushImpl(graph, q->input, pred, true,
-                                              false));
+        SM_ASSIGN_OR_RETURN(bool ok,
+                            PushImpl(graph, q->input, pred, /*apply=*/true));
         if (!ok) {
           return Status::Internal("set-op branch refused push after dry run");
         }
@@ -108,8 +106,7 @@ Result<bool> PushImpl(QueryGraph* graph, Box* box, const Expr& pred,
                                 traits->map_output_column(*box, col, i));
         });
         Box* input = box->quantifiers()[static_cast<size_t>(i)]->input;
-        SM_ASSIGN_OR_RETURN(bool ok, PushImpl(graph, input, *rerouted, apply,
-                                              false));
+        SM_ASSIGN_OR_RETURN(bool ok, PushImpl(graph, input, *rerouted, apply));
         if (ok) any = true;
       }
       return any;
@@ -122,14 +119,12 @@ Result<bool> PushImpl(QueryGraph* graph, Box* box, const Expr& pred,
 
 bool CanPushIntoBox(const QueryGraph& graph, const Box& box, const Expr& pred) {
   Result<bool> r = PushImpl(const_cast<QueryGraph*>(&graph),
-                            const_cast<Box*>(&box), pred, /*apply=*/false,
-                            /*is_root=*/true);
+                            const_cast<Box*>(&box), pred, /*apply=*/false);
   return r.ok() && *r;
 }
 
 Status PushIntoBox(QueryGraph* graph, Box* box, const Expr& pred) {
-  SM_ASSIGN_OR_RETURN(bool ok, PushImpl(graph, box, pred, /*apply=*/true,
-                                        /*is_root=*/true));
+  SM_ASSIGN_OR_RETURN(bool ok, PushImpl(graph, box, pred, /*apply=*/true));
   if (!ok) return Status::Internal("PushIntoBox called on unpushable predicate");
   return Status::OK();
 }
@@ -192,8 +187,11 @@ Result<bool> LocalPredicatePushdownRule::Apply(RewriteContext* ctx, Box* box) {
       continue;
     }
     Quantifier* q = box->FindQuantifier(local_qid);
-    if (q->type != QuantifierType::kForEach &&
-        q->type != QuantifierType::kExistential) {
+    // Base tables never accept a pushed predicate (PushImpl); decide that
+    // before cloning the predicate into a template.
+    if ((q->type != QuantifierType::kForEach &&
+         q->type != QuantifierType::kExistential) ||
+        q->input->kind() == BoxKind::kBaseTable) {
       ++i;
       continue;
     }

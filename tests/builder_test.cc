@@ -130,6 +130,27 @@ TEST_F(BuilderTest, ViewColumnRenamesApply) {
   EXPECT_EQ(g->top()->outputs()[0].name, "avg_sal");
 }
 
+TEST_F(BuilderTest, ViewExpandsFromTheStoredAst) {
+  // The builder expands the catalog's parsed body and never re-reads
+  // body_sql: here the text names another table than the AST does.
+  ViewDefinition v;
+  v.name = "deptnos";
+  v.body_sql = "SELECT empno FROM emp";
+  v.body = ParseQuery("SELECT deptno FROM dept").value();
+  ASSERT_TRUE(catalog_.CreateView(std::move(v)).ok());
+  auto g = MustBuild("SELECT * FROM deptnos");
+  ASSERT_NE(g, nullptr);
+  bool reads_dept = false;
+  bool reads_emp = false;
+  for (const Box* b : g->boxes()) {
+    reads_dept = reads_dept || b->table_name() == "dept";
+    reads_emp = reads_emp || b->table_name() == "emp";
+  }
+  EXPECT_TRUE(reads_dept);
+  EXPECT_FALSE(reads_emp);
+  EXPECT_EQ(g->top()->outputs()[0].name, "deptno");
+}
+
 TEST_F(BuilderTest, ExistsBecomesExistentialQuantifier) {
   auto g = MustBuild(
       "SELECT d.dname FROM dept d WHERE EXISTS "

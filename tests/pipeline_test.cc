@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "qgm/printer.h"
+#include "workloads.h"
 
 namespace starmagic {
 namespace {
@@ -159,6 +161,75 @@ TEST_F(PipelineTest, ExplainAnalyzeReconcilesOnIndexNestedLoopPath) {
   EXPECT_EQ(rows_out, result->exec_stats.rows_produced);
   EXPECT_EQ(result->result_rows, 1);
   EXPECT_NE(result->analyze_report.find("act_rows="), std::string::npos);
+}
+
+// True when the sips-order EMST candidate ran: its phases add "-sips" rows
+// (one per rule, fired or not) to the fire table.
+bool RanSipsCandidate(const PipelineResult& result) {
+  for (const RuleFireStats& f : result.rule_fires) {
+    if (f.phase == "phase2-sips" || f.phase == "phase3-sips") return true;
+  }
+  return false;
+}
+
+TEST_F(PipelineTest, SipsCandidateSkippedWhenNoJoinOrderChanges) {
+  // One table: no box has two quantifiers to reorder.
+  // department x avgSal restricted on department: the optimizer already
+  // orders the restricting department quantifier before the view.
+  for (const char* sql :
+       {"SELECT empname FROM employee WHERE empno = 100",
+        "SELECT d.deptname, v.avg_sal FROM department d, avgSal v "
+        "WHERE d.deptno = v.dept AND d.deptname = 'Planning'"}) {
+    auto result = db_.Explain(sql, QueryOptions(ExecutionStrategy::kMagic));
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    EXPECT_TRUE(result->emst_applied) << sql;
+    EXPECT_FALSE(RanSipsCandidate(*result))
+        << sql << "\n" << RuleFireTable(result->rule_fires, true);
+    bool ran_phase2 = false;
+    for (const RuleFireStats& f : result->rule_fires) {
+      ran_phase2 = ran_phase2 || f.phase == "phase2";
+    }
+    EXPECT_TRUE(ran_phase2) << sql;
+  }
+}
+
+TEST(SipsOrderTest, ViewFirstOrderStillRunsAndPicksTheSipsCandidate) {
+  // bench_ablation's "sips_order" section (Exp C shape, full scale): the
+  // optimizer joins deptActivity before the probe table, so EMST at the
+  // optimizer's order has nothing to bind; the sips order puts the probe
+  // first, binds the view through a magic box and wins the comparison
+  // between the two EMST candidates.
+  Database db;
+  bench::EmpDeptConfig config;
+  config.num_departments = 200;
+  config.num_employees = 10000;
+  config.num_projects = 2000;
+  ASSERT_TRUE(bench::LoadEmpDept(&db, config).ok());
+  ASSERT_TRUE(bench::LoadProbe(&db, "probe", 1000, 25, 9).ok());
+  ASSERT_TRUE(bench::CreateBenchViews(&db).ok());
+  const char* sql =
+      "SELECT p.tag, a.spend FROM probe p, deptActivity a "
+      "WHERE p.pdept = a.dept";
+  QueryOptions options(ExecutionStrategy::kMagic);
+  options.pipeline.cost_compare = false;
+  auto with_sips = db.Explain(sql, options);
+  ASSERT_TRUE(with_sips.ok()) << with_sips.status().ToString();
+  EXPECT_TRUE(RanSipsCandidate(*with_sips));
+  options.pipeline.try_sips_order = false;
+  auto without_sips = db.Explain(sql, options);
+  ASSERT_TRUE(without_sips.ok()) << without_sips.status().ToString();
+  EXPECT_FALSE(RanSipsCandidate(*without_sips));
+
+  EXPECT_LT(with_sips->cost_with_emst, without_sips->cost_with_emst);
+  EXPECT_NE(PrintGraph(*with_sips->graph), PrintGraph(*without_sips->graph));
+  // Only the sips candidate binds the view: its plan keeps a magic box.
+  auto magic_boxes = [](const QueryGraph& g) {
+    int n = 0;
+    for (const Box* b : g.boxes()) n += b->IsMagicRole() ? 1 : 0;
+    return n;
+  };
+  EXPECT_GT(magic_boxes(*with_sips->graph), 0) << PrintGraph(*with_sips->graph);
+  EXPECT_EQ(magic_boxes(*without_sips->graph), 0);
 }
 
 }  // namespace

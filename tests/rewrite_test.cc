@@ -151,6 +151,38 @@ TEST_F(RewriteTest, PushdownIntoUnionBranches) {
   EXPECT_EQ(branches_with_pred, 2) << PrintGraph(*g);
 }
 
+TEST_F(RewriteTest, PushdownLeavesBaseTablePredicatesAlone) {
+  // Base tables accept no pushed predicate, so the rule must report no
+  // change and leave the box exactly as it was (it returns before building
+  // a template clone of each predicate).
+  auto g = Build(
+      "SELECT e.empno FROM emp e WHERE e.sal > 5 AND e.dept IN (1, 2, 3)");
+  std::string before = PrintGraph(*g);
+  RewriteContext ctx;
+  ctx.graph = g.get();
+  ctx.catalog = &catalog_;
+  LocalPredicatePushdownRule rule;
+  auto applied = rule.Apply(&ctx, g->top());
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_FALSE(*applied);
+  EXPECT_EQ(PrintGraph(*g), before);
+
+  // The same predicate over a view box is still pushed into the view.
+  ViewDefinition v;
+  v.name = "richemp";
+  v.body_sql = "SELECT empno, dept FROM emp WHERE sal > 100";
+  ASSERT_TRUE(catalog_.CreateView(std::move(v)).ok());
+  auto gv = Build("SELECT r.empno FROM richemp r WHERE r.dept IN (1, 2, 3)");
+  ctx.graph = gv.get();
+  applied = rule.Apply(&ctx, gv->top());
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(*applied);
+  EXPECT_TRUE(gv->top()->predicates().empty()) << PrintGraph(*gv);
+  Box* view_box = gv->top()->quantifiers()[0]->input;
+  EXPECT_EQ(view_box->predicates().size(), 2u) << PrintGraph(*gv);
+  EXPECT_TRUE(gv->Validate().ok());
+}
+
 TEST_F(RewriteTest, DistinctPullupInfersKeysAndDropsRedundantDistinct) {
   auto g = Build("SELECT DISTINCT empno, dept FROM emp");
   ASSERT_TRUE(g->top()->enforce_distinct());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "sql/parser.h"
 
 namespace starmagic {
 namespace {
@@ -92,6 +93,26 @@ TEST(CatalogTest, ViewsShareNamespaceWithTables) {
   EXPECT_TRUE(c.HasView("V"));
   EXPECT_NE(c.GetView("v"), nullptr);
   EXPECT_TRUE(c.DropView("v").ok());
+}
+
+TEST(CatalogTest, CreateViewKeepsTheParsedBody) {
+  Catalog c;
+  ASSERT_TRUE(c.CreateTable("t", EmpSchema()).ok());
+  // A definition given only as text is parsed once, at registration.
+  ViewDefinition v;
+  v.name = "v";
+  v.body_sql = "SELECT empno FROM t";
+  ASSERT_TRUE(c.CreateView(std::move(v)).ok());
+  ASSERT_NE(c.GetView("v"), nullptr);
+  ASSERT_NE(c.GetView("v")->body, nullptr);
+  EXPECT_EQ(c.GetView("v")->body->ToString(),
+            ParseQuery("SELECT empno FROM t").value()->ToString());
+  // Text that does not parse is rejected up front, not at first use.
+  ViewDefinition bad;
+  bad.name = "bad";
+  bad.body_sql = "SELECT FROM WHERE";
+  EXPECT_EQ(c.CreateView(std::move(bad)).code(), StatusCode::kParseError);
+  EXPECT_FALSE(c.HasView("bad"));
 }
 
 TEST(CatalogTest, StatisticsFreshnessTracksMutations) {
