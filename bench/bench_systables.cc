@@ -12,12 +12,6 @@
 //      mode, where runs are too short to measure 1% of anything, and
 //      skipped above hardware concurrency — oversubscribed workers measure
 //      the scheduler, not the registry).
-//   3. Progress overhead — same discipline for live query-progress
-//      tracking (sys.active_queries): a tracker that is attached but
-//      never scraped must cost < 1% wall time against tracking disabled,
-//      with identical work and rows. The per-morsel updates are relaxed
-//      atomics riding the governor checkpoint sites, so this gate pins
-//      that piggyback down.
 //
 // Determinism is gated at every scale, smoke included: work counters and
 // rows must be bit-identical with the registry attached and detached.
@@ -280,75 +274,12 @@ int Run() {
     std::printf("\n");
   }
 
-  // --- 3. progress-tracking-attached-but-unscraped overhead (<1% gate) ----
-  std::printf("%-16s %-8s %-14s %10s %12s %10s %10s\n", "workload", "threads",
-              "strategy", "time(ms)", "work", "rows", "overhead");
-  for (const Workload& w : workloads) {
-    for (int threads : ladder) {
-      Measured off, on;
-      Status st = Status::OK();
-      for (int r = 0; r < reps && st.ok(); ++r) {
-        for (bool tracked : {false, true}) {
-          db.EnableProgressTracking(tracked);
-          Result<Measured> m = MeasureOnce(&db, w.sql, threads, obs.tracer());
-          db.EnableProgressTracking(true);
-          if (!m.ok()) {
-            st = m.status();
-            break;
-          }
-          Measured* best = tracked ? &on : &off;
-          if (r == 0 || m->ms < best->ms) best->ms = m->ms;
-          best->work = m->work;
-          best->rows = m->rows;
-        }
-      }
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
-                     st.ToString().c_str());
-        return 1;
-      }
-      if (on.work != off.work || on.rows != off.rows) {
-        std::fprintf(stderr,
-                     "FAIL %s at %d threads: tracked work %lld vs %lld, "
-                     "rows %lld vs %lld\n",
-                     w.name.c_str(), threads, static_cast<long long>(on.work),
-                     static_cast<long long>(off.work),
-                     static_cast<long long>(on.rows),
-                     static_cast<long long>(off.rows));
-        deterministic = false;
-      }
-      double overhead = off.ms > 0 ? (on.ms - off.ms) / off.ms : 0;
-      const bool gated = threads == 1 || hw >= static_cast<unsigned>(threads);
-      if (gated && overhead > 0.01) overhead_ok = false;
-      std::string cell = StrCat(w.name, "_t", threads);
-      for (bool tracked : {false, true}) {
-        const Measured& m = tracked ? on : off;
-        std::printf("%-16s %-8d %-14s %10.2f %12lld %10lld %8.2f%%%s\n",
-                    cell.c_str(), threads,
-                    tracked ? "progress=on" : "progress=off", m.ms,
-                    static_cast<long long>(m.work),
-                    static_cast<long long>(m.rows),
-                    tracked ? overhead * 100 : 0.0,
-                    tracked && !gated ? " (ungated: oversubscribed)" : "");
-        BenchSample sample;
-        sample.workload = cell;
-        sample.strategy = tracked ? "progress=on" : "progress=off";
-        sample.total_work = m.work;
-        sample.wall_ms = m.ms;
-        sample.rows = m.rows;
-        report.Add(std::move(sample));
-      }
-    }
-    std::printf("\n");
-  }
-
   if (!deterministic) return 1;
   if (Status st = report.Write(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("claim: unqueried registry + unscraped progress overhead "
-              "< 1%%: %s%s\n",
+  std::printf("claim: unqueried registry overhead < 1%%: %s%s\n",
               overhead_ok ? "PASS" : "FAIL",
               smoke ? " (informational in smoke)" : "");
   return obs.Verdict(overhead_ok);

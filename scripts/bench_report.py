@@ -99,11 +99,7 @@ def validate_file(path):
                               "non-negative number")
     if not check_thread_invariance(path, samples):
         return False
-    if not check_governor_overhead(path, samples, doc["smoke"]):
-        return False
     if not check_registry_overhead(path, samples, doc["smoke"]):
-        return False
-    if not check_progress_overhead(path, samples, doc["smoke"]):
         return False
     if not check_plan_cache_identity(path, samples, doc["smoke"]):
         return False
@@ -133,60 +129,19 @@ def check_thread_invariance(path, samples):
     return True
 
 
-def check_governor_overhead(path, samples, smoke):
-    """Samples that only differ in the 'governor=off' / 'governor=on'
-    strategy must report identical total_work and rows — attaching a
-    governor may never change what a query computes — and the governed
-    wall time may exceed the ungoverned one by at most 2%. The wall gate
-    is informational at smoke scale, where runs are too short to measure
-    2% of anything, and applies only to single-thread cells ('..._t1'):
-    multi-thread cells are gated by the bench binary itself, which knows
-    the machine's hardware concurrency; this validator may run on a
-    different machine, where an oversubscribed cell's wall time measures
-    the scheduler rather than the accounting. The work/rows identity
-    fails at every scale and every thread count."""
-    by_workload = {}
-    for s in samples:
-        if s["strategy"] in ("governor=off", "governor=on"):
-            by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
-    ok = True
-    for workload, pair in sorted(by_workload.items()):
-        if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both governor=off "
-                            "and governor=on samples to compare")
-            continue
-        off, on = pair["governor=off"], pair["governor=on"]
-        for field in ("total_work", "rows"):
-            if off[field] != on[field]:
-                ok = fail(path, f"workload '{workload}': {field} changes "
-                                f"under the governor ({off[field]} vs "
-                                f"{on[field]})")
-        multi_threaded = re.search(r"_t(\d+)$", workload) is not None and \
-            not workload.endswith("_t1")
-        if off["wall_ms"] > 0 and not multi_threaded:
-            overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
-            if overhead > 0.02:
-                msg = (f"workload '{workload}': governor overhead "
-                       f"{overhead * 100:.1f}% exceeds the 2% budget")
-                if smoke:
-                    print(f"{path}: note: {msg} (informational at smoke "
-                          "scale)")
-                else:
-                    ok = fail(path, msg)
-    return ok
-
-
 def check_registry_overhead(path, samples, smoke):
     """Samples that only differ in the 'registry=off' / 'registry=on'
     strategy (bench_systables) must report identical total_work and
     rows — a system-table registry that is attached but never queried
     may not change what any query computes — and the attached wall time
-    may exceed the detached one by at most 1%. As with the governor
-    gate, the wall comparison is informational at smoke scale and
-    applies only to single-thread cells ('..._t1'); multi-thread cells
-    are gated by the bench binary, which knows the machine's hardware
-    concurrency. The work/rows identity fails at every scale and every
-    thread count."""
+    may exceed the detached one by at most 1%. The wall gate is
+    informational at smoke scale, where runs are too short to measure 1%
+    of anything, and applies only to single-thread cells ('..._t1'):
+    multi-thread cells are gated by the bench binary itself, which knows
+    the machine's hardware concurrency; this validator may run on a
+    different machine, where an oversubscribed cell's wall time measures
+    the scheduler rather than the registry. The work/rows identity fails
+    at every scale and every thread count."""
     by_workload = {}
     for s in samples:
         if s["strategy"] in ("registry=off", "registry=on"):
@@ -209,47 +164,6 @@ def check_registry_overhead(path, samples, smoke):
             overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
             if overhead > 0.01:
                 msg = (f"workload '{workload}': registry overhead "
-                       f"{overhead * 100:.1f}% exceeds the 1% budget")
-                if smoke:
-                    print(f"{path}: note: {msg} (informational at smoke "
-                          "scale)")
-                else:
-                    ok = fail(path, msg)
-    return ok
-
-
-def check_progress_overhead(path, samples, smoke):
-    """Samples that only differ in the 'progress=off' / 'progress=on'
-    strategy (bench_systables) must report identical total_work and
-    rows — a live-progress tracker that is attached but never scraped may
-    not change what any query computes — and the tracked wall time may
-    exceed the untracked one by at most 1%. As with the registry gate,
-    the wall comparison is informational at smoke scale and applies only
-    to single-thread cells ('..._t1'); multi-thread cells are gated by
-    the bench binary, which knows the machine's hardware concurrency.
-    The work/rows identity fails at every scale and every thread count."""
-    by_workload = {}
-    for s in samples:
-        if s["strategy"] in ("progress=off", "progress=on"):
-            by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
-    ok = True
-    for workload, pair in sorted(by_workload.items()):
-        if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both progress=off "
-                            "and progress=on samples to compare")
-            continue
-        off, on = pair["progress=off"], pair["progress=on"]
-        for field in ("total_work", "rows"):
-            if off[field] != on[field]:
-                ok = fail(path, f"workload '{workload}': {field} changes "
-                                f"with progress tracking attached "
-                                f"({off[field]} vs {on[field]})")
-        multi_threaded = re.search(r"_t(\d+)$", workload) is not None and \
-            not workload.endswith("_t1")
-        if off["wall_ms"] > 0 and not multi_threaded:
-            overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
-            if overhead > 0.01:
-                msg = (f"workload '{workload}': progress-tracking overhead "
                        f"{overhead * 100:.1f}% exceeds the 1% budget")
                 if smoke:
                     print(f"{path}: note: {msg} (informational at smoke "

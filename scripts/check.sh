@@ -53,7 +53,7 @@ run_smoke_battery() {
   local dir="$1"
   mkdir -p "${dir}"
   cd "${dir}"
-  for bench in table1 index figure1 figure4 heuristic ablation recursive tpcd parallel governor plancache systables; do
+  for bench in table1 index figure1 figure4 heuristic ablation recursive tpcd parallel plancache systables; do
     echo "== bench_${bench} (smoke, $(basename "${dir}")) =="
     "${BUILD}/bench/bench_${bench}" > "out_${bench}.txt"
   done

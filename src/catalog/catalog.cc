@@ -214,12 +214,6 @@ const TableStats* Catalog::GetStats(const std::string& name) const {
   return it == stats_.end() ? nullptr : &it->second;
 }
 
-void Catalog::SetStats(const std::string& name, TableStats stats) {
-  std::string key = Key(name);
-  stats_[key] = std::move(stats);
-  MarkAnalyzed(key);
-}
-
 int64_t Catalog::TableVersion(const std::string& name) const {
   auto it = versions_.find(Key(name));
   return it == versions_.end() ? 0 : it->second.modified;

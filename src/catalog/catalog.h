@@ -103,9 +103,6 @@ class Catalog {
 
   /// Statistics for `name`; returns nullptr if never analyzed.
   const TableStats* GetStats(const std::string& name) const;
-  /// Overrides statistics (tests / synthetic workloads). Also marks the
-  /// table's current version as analyzed, like a real ANALYZE.
-  void SetStats(const std::string& name, TableStats stats);
 
   // --- statistics freshness ------------------------------------------------
   /// Monotone per-table modification counter, bumped by every engine write

@@ -34,20 +34,6 @@ bool ValueMatchesType(const Value& v, ColumnType type) {
   return false;
 }
 
-ValueKind ColumnTypeToValueKind(ColumnType type) {
-  switch (type) {
-    case ColumnType::kBool:
-      return ValueKind::kBool;
-    case ColumnType::kInt:
-      return ValueKind::kInt;
-    case ColumnType::kDouble:
-      return ValueKind::kDouble;
-    case ColumnType::kString:
-      return ValueKind::kString;
-  }
-  return ValueKind::kNull;
-}
-
 int Schema::FindColumn(const std::string& name) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (EqualsIgnoreCase(columns_[i].name, name)) return static_cast<int>(i);

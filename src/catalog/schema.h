@@ -18,9 +18,6 @@ const char* ColumnTypeName(ColumnType type);
 /// (NULL is storable everywhere; INT is storable in DOUBLE).
 bool ValueMatchesType(const Value& v, ColumnType type);
 
-/// The ValueKind a ColumnType stores.
-ValueKind ColumnTypeToValueKind(ColumnType type);
-
 /// One column of a table or view output.
 struct Column {
   std::string name;

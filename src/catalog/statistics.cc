@@ -2,18 +2,7 @@
 
 #include <unordered_set>
 
-#include "common/string_util.h"
-
 namespace starmagic {
-
-std::string TableStats::ToString() const {
-  std::string out = StrCat("rows=", row_count);
-  for (size_t i = 0; i < columns.size(); ++i) {
-    out += StrCat(" col", i, "{ndv=", columns[i].distinct_count,
-                  ",nulls=", columns[i].null_count, "}");
-  }
-  return out;
-}
 
 TableStats Analyze(const Table& table) {
   TableStats stats;

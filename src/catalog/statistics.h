@@ -18,12 +18,10 @@ struct ColumnStats {
 };
 
 /// Optimizer statistics for one table. Produced by `Analyze`, consumed by
-/// the cardinality estimator. Synthetic stats can be set directly in tests.
+/// the cardinality estimator.
 struct TableStats {
   int64_t row_count = 0;
   std::vector<ColumnStats> columns;
-
-  std::string ToString() const;
 };
 
 /// Scans `table` and computes exact statistics.

@@ -21,12 +21,6 @@ size_t HashRow(const Row& row) {
   return h;
 }
 
-size_t HashRowKey(const Row& row, const std::vector<int>& key_columns) {
-  size_t h = 0x51ed270b;
-  for (int c : key_columns) h = MixHash(h, row[static_cast<size_t>(c)].Hash());
-  return h;
-}
-
 bool RowsEqualGrouping(const Row& a, const Row& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

@@ -14,8 +14,6 @@ using Row = std::vector<Value>;
 
 /// Hash of a row, consistent with grouping equality (NULL==NULL).
 size_t HashRow(const Row& row);
-/// Hash of a key projection of a row.
-size_t HashRowKey(const Row& row, const std::vector<int>& key_columns);
 
 /// Grouping equality over whole rows.
 bool RowsEqualGrouping(const Row& a, const Row& b);

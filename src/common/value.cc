@@ -32,18 +32,6 @@ TriBool TriOr(TriBool a, TriBool b) {
   return TriBool::kUnknown;
 }
 
-const char* TriBoolName(TriBool v) {
-  switch (v) {
-    case TriBool::kFalse:
-      return "FALSE";
-    case TriBool::kTrue:
-      return "TRUE";
-    case TriBool::kUnknown:
-      return "UNKNOWN";
-  }
-  return "?";
-}
-
 const char* ValueKindName(ValueKind kind) {
   switch (kind) {
     case ValueKind::kNull:

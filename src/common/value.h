@@ -17,7 +17,6 @@ enum class TriBool { kFalse = 0, kTrue = 1, kUnknown = 2 };
 TriBool TriNot(TriBool v);
 TriBool TriAnd(TriBool a, TriBool b);
 TriBool TriOr(TriBool a, TriBool b);
-const char* TriBoolName(TriBool v);
 
 /// Runtime type tag of a Value.
 enum class ValueKind { kNull = 0, kBool, kInt, kDouble, kString };

@@ -778,9 +778,8 @@ Result<QueryResult> Database::Query(const std::string& sql,
   // Live-progress registration: the query is visible in sys.active_queries
   // (and GET /sys/active_queries) for exactly the duration of this scope.
   // Internal observer queries never register — the dashboard does not
-  // watch itself — and neither does anything when tracking is disabled.
-  ProgressScope progress_scope(
-      options.internal || !progress_enabled_ ? nullptr : &progress_, sql);
+  // watch itself.
+  ProgressScope progress_scope(options.internal ? nullptr : &progress_, sql);
   // The sys.* snapshot dies before the query-log record below — so a
   // query over sys.query_log sees every *prior* query but never itself.
   Result<QueryResult> result = WithSysSnapshot(options, [&] {

@@ -169,11 +169,6 @@ class Database {
   ProgressRegistry* progress() { return &progress_; }
   const ProgressRegistry* progress() const { return &progress_; }
 
-  /// Toggles per-query progress tracking (default on). Off = Query() skips
-  /// registration entirely and the executor sees a null tracker — the
-  /// baseline side of the bench_systables progress-overhead gate.
-  void EnableProgressTracking(bool enabled) { progress_enabled_ = enabled; }
-
   /// Materializes one sys.* table directly from live engine state, without
   /// running SQL — the HTTP endpoint path (GET /sys/<table>). `options`
   /// feeds sys.settings and sys.governor exactly as it does for a query
@@ -288,7 +283,6 @@ class Database {
   std::map<std::string, PreparedStatement> prepared_;
   /// In-flight query trackers (sys.active_queries). Internally locked.
   ProgressRegistry progress_;
-  bool progress_enabled_ = true;
   /// Guards the plain-data observability aggregates below
   /// (last_box_stats_, rewrite_totals_) against concurrent reads from the
   /// SnapshotSysTable path (the HTTP server thread). Writes happen at

@@ -82,6 +82,11 @@ std::string ExecStats::ToString() const {
 Executor::Executor(QueryGraph* graph, const Catalog* catalog,
                    ExecOptions options)
     : graph_(graph), catalog_(catalog), options_(options) {
+  if (options_.governor == nullptr) {
+    owned_governor_ =
+        std::make_unique<ResourceGovernor>(ResourceBudget::Unlimited());
+    options_.governor = owned_governor_.get();
+  }
   strata_ = graph_->ComputeStrata();
   for (int box_id : strata_.recursive_boxes) {
     scc_members_[strata_.scc_id[box_id]].push_back(box_id);
@@ -100,10 +105,7 @@ Executor::~Executor() {
   // destruction order. Aborted queries may have reserved bytes that never
   // reached cache_charged_bytes_ — releasing less than was reserved is
   // safe, over-releasing never happens.
-  if (options_.governor != nullptr && cache_charged_bytes_ > 0) {
-    options_.governor->Release(cache_charged_bytes_);
-    cache_charged_bytes_ = 0;
-  }
+  options_.governor->Release(cache_charged_bytes_);
 }
 
 Status Executor::ParallelAppend(
@@ -124,17 +126,14 @@ Status Executor::ParallelAppend(
         ComboVec* out = &buffers[static_cast<size_t>(morsel)];
         SM_RETURN_IF_ERROR(body(begin, end, out,
                                 &worker_stats[static_cast<size_t>(worker)]));
-        if (gov != nullptr) {
-          // Charge this morsel's buffer as it completes. Within the step
-          // reservations only grow and the per-combo charge is
-          // content-based, so the step's byte total — and thus the
-          // governor's peak — is identical at any thread count.
-          int64_t bytes = 0;
-          for (const auto& combo : *out) bytes += ComboBytes(combo);
-          charged.fetch_add(bytes, std::memory_order_relaxed);
-          SM_RETURN_IF_ERROR(gov->Reserve(bytes));
-        }
-        return Status::OK();
+        // Charge this morsel's buffer as it completes. Within the step
+        // reservations only grow and the per-combo charge is content-based,
+        // so the step's byte total — and thus the governor's peak — is
+        // identical at any thread count.
+        int64_t bytes = 0;
+        for (const auto& combo : *out) bytes += ComboBytes(combo);
+        charged.fetch_add(bytes, std::memory_order_relaxed);
+        return gov->Reserve(bytes);
       });
   *charged_bytes += charged.load(std::memory_order_relaxed);
   // Merge worker counters even on error, mirroring the partial counts a
@@ -307,7 +306,7 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
     // query-local state, so its bytes are charged once — at the
     // coordinator (EvalBox is coordinator-only), hence deterministically —
     // and held to end of query like the snapshot itself.
-    if (options_.governor != nullptr && IsSysTableName(box->table_name()) &&
+    if (IsSysTableName(box->table_name()) &&
         charged_sys_tables_.insert(ToLower(box->table_name())).second) {
       int64_t bytes = TableBytes(*table);
       SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
@@ -326,13 +325,11 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
     }
     ++stats_.cache_misses;
     SM_ASSIGN_OR_RETURN(Table result, ComputeBox(box, env));
-    if (options_.governor != nullptr) {
-      // Cached results live until the executor dies; ~Executor releases
-      // the accumulated cache charges exactly once.
-      int64_t bytes = TableBytes(result);
-      SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
-      cache_charged_bytes_ += bytes;
-    }
+    // Cached results live until the executor dies; ~Executor releases the
+    // accumulated cache charges exactly once.
+    int64_t bytes = TableBytes(result);
+    SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
+    cache_charged_bytes_ += bytes;
     return &cache_.emplace(box->id(), std::move(result)).first->second;
   }
   if (options_.memoize_correlation) {
@@ -345,11 +342,9 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
     }
     ++stats_.cache_misses;
     SM_ASSIGN_OR_RETURN(Table result, ComputeBox(box, env));
-    if (options_.governor != nullptr) {
-      int64_t bytes = RowBytes(key) + TableBytes(result);
-      SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
-      cache_charged_bytes_ += bytes;
-    }
+    int64_t bytes = RowBytes(key) + TableBytes(result);
+    SM_RETURN_IF_ERROR(options_.governor->Reserve(bytes));
+    cache_charged_bytes_ += bytes;
     return &per_box.emplace(std::move(key), std::move(result)).first->second;
   }
   SM_ASSIGN_OR_RETURN(Table result, ComputeBox(box, env));
@@ -358,27 +353,23 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
 }
 
 Result<Table> Executor::ComputeBox(Box* box, const RowEnv& env) {
-  if (options_.governor != nullptr) {
-    // Cooperative cancellation point: every box materialization (including
-    // one per correlated binding and per fixpoint round) polls the
-    // governor, so sequential execution aborts at box granularity even
-    // when no worker pool exists.
-    SM_RETURN_IF_ERROR(options_.governor->CheckPoint());
-  }
+  // Cooperative cancellation point: every box materialization (including
+  // one per correlated binding and per fixpoint round) polls the governor,
+  // so sequential execution aborts at box granularity even when no worker
+  // pool exists.
+  SM_RETURN_IF_ERROR(options_.governor->CheckPoint());
   if (options_.progress != nullptr) {
     // Piggybacked on the cancellation site: two wait-free relaxed stores
     // publishing "rows so far" and the governor's peak to live snapshots.
     options_.progress->SetRowsProduced(stats_.rows_produced);
-    if (options_.governor != nullptr) {
-      options_.progress->SetPeakBytes(options_.governor->peak_bytes());
-    }
+    options_.progress->SetPeakBytes(options_.governor->peak_bytes());
   }
   ++stats_.box_evaluations;
   const bool tracing =
       options_.tracer != nullptr && options_.tracer->enabled();
   if (!options_.collect_box_stats && !tracing) {
     Result<Table> result = DispatchBox(box, env);
-    if (result.ok() && options_.governor != nullptr) {
+    if (result.ok()) {
       SM_RETURN_IF_ERROR(
           options_.governor->CheckOutputRows(stats_.rows_produced));
     }
@@ -409,10 +400,8 @@ Result<Table> Executor::ComputeBox(Box* box, const RowEnv& env) {
     span.SetAttribute("rows_out", result->num_rows());
     span.SetAttribute(
         "probes", stats_.join_probes + stats_.index_probes - probes_before);
-    if (options_.governor != nullptr) {
-      SM_RETURN_IF_ERROR(
-          options_.governor->CheckOutputRows(stats_.rows_produced));
-    }
+    SM_RETURN_IF_ERROR(
+        options_.governor->CheckOutputRows(stats_.rows_produced));
   }
   return result;
 }
@@ -781,13 +770,11 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
           }
           if (!keep) continue;
           arena.push_back(row);
-          if (gov != nullptr) {
-            // Charge the copied row only; the combination pointing at it
-            // is charged with the rest of `next` at the end of the step.
-            int64_t rb = RowBytes(arena.back());
-            arena_bytes += rb;
-            SM_RETURN_IF_ERROR(gov->Reserve(rb));
-          }
+          // Charge the copied row only; the combination pointing at it is
+          // charged with the rest of `next` at the end of the step.
+          int64_t rb = RowBytes(arena.back());
+          arena_bytes += rb;
+          SM_RETURN_IF_ERROR(gov->Reserve(rb));
           auto combo2 = combo;
           combo2.push_back(&arena.back());
           next.push_back(std::move(combo2));
@@ -807,11 +794,9 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
         for (const Row& row : scratch.rows()) arena.push_back(row);
         auto it = arena.end() - scratch.num_rows();
         for (; it != arena.end(); ++it) input_rows.push_back(&*it);
-        if (gov != nullptr) {
-          int64_t sb = TableBytes(scratch);
-          arena_bytes += sb;
-          SM_RETURN_IF_ERROR(gov->Reserve(sb));
-        }
+        int64_t sb = TableBytes(scratch);
+        arena_bytes += sb;
+        SM_RETURN_IF_ERROR(gov->Reserve(sb));
       } else {
         input_rows.reserve(static_cast<size_t>(t->num_rows()));
         for (const Row& row : t->rows()) input_rows.push_back(&row);
@@ -836,18 +821,16 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
             key.push_back(
                 (*input_rows[ri])[static_cast<size_t>(hp.own_side->column_index)]);
           }
-          if (gov != nullptr) {
-            build_chunk += RowBytes(key) + static_cast<int64_t>(sizeof(int));
-            if (--build_until_check == 0) {
-              build_until_check = check_stride;
-              build_bytes += build_chunk;
-              SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
-              build_chunk = 0;
-            }
+          build_chunk += RowBytes(key) + static_cast<int64_t>(sizeof(int));
+          if (--build_until_check == 0) {
+            build_until_check = check_stride;
+            build_bytes += build_chunk;
+            SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
+            build_chunk = 0;
           }
           table.Insert(std::move(key), static_cast<int>(ri));
         }
-        if (gov != nullptr && build_chunk > 0) {
+        if (build_chunk > 0) {
           build_bytes += build_chunk;
           SM_RETURN_IF_ERROR(gov->Reserve(build_chunk));
         }
@@ -916,20 +899,18 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
         }
       }
     }
-    if (gov != nullptr) {
-      // Sequential paths charge their step output here in one lump; the
-      // parallel paths already charged the identical combos morsel by
-      // morsel (next_bytes > 0 exactly when some buffer was non-empty),
-      // so used-bytes at every step boundary is the same either way.
-      if (next_bytes == 0) {
-        for (const auto& combo : next) next_bytes += ComboBytes(combo);
-        SM_RETURN_IF_ERROR(gov->Reserve(next_bytes));
-      }
-      SM_RETURN_IF_ERROR(gov->CheckPoint());
-      gov->Release(current_bytes + step_build_bytes);
-      if (options_.progress != nullptr) {
-        options_.progress->SetPeakBytes(gov->peak_bytes());
-      }
+    // Sequential paths charge their step output here in one lump; the
+    // parallel paths already charged the identical combos morsel by morsel
+    // (next_bytes > 0 exactly when some buffer was non-empty), so
+    // used-bytes at every step boundary is the same either way.
+    if (next_bytes == 0) {
+      for (const auto& combo : next) next_bytes += ComboBytes(combo);
+      SM_RETURN_IF_ERROR(gov->Reserve(next_bytes));
+    }
+    SM_RETURN_IF_ERROR(gov->CheckPoint());
+    gov->Release(current_bytes + step_build_bytes);
+    if (options_.progress != nullptr) {
+      options_.progress->SetPeakBytes(gov->peak_bytes());
     }
     bound.push_back(q->id);
     current = std::move(next);
@@ -946,7 +927,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
     // every morsel's worth of combinations so a cancel or deadline lands
     // here too, not just at join steps. Countdown rather than modulo —
     // this runs per output row, and a 64-bit division here is measurable.
-    if (gov != nullptr && --until_check == 0) {
+    if (--until_check == 0) {
       until_check = check_stride;
       SM_RETURN_IF_ERROR(gov->CheckPoint());
       if (options_.progress != nullptr) {
@@ -1080,7 +1061,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
   // Successful completion: the join state (combos + arena) dies here, so
   // return its bytes. Error paths above skip this — the query is aborting
   // and its governor's ledger dies with it.
-  if (gov != nullptr) gov->Release(current_bytes + arena_bytes);
+  gov->Release(current_bytes + arena_bytes);
   return out;
 }
 
@@ -1296,78 +1277,57 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     state.emplace(bid, Table(graph_->GetBox(bid)->label(), Schema{}));
   }
   RowEnv env;
-  const std::map<int, Table>* prev_in_progress = scc_in_progress_;
-  int prev_id = scc_in_progress_id_;
+  // Restores the enclosing SCC's in-progress state on every exit path.
+  struct InProgressScope {
+    Executor* self;
+    const std::map<int, Table>* prev_state;
+    int prev_id;
+    ~InProgressScope() {
+      self->scc_in_progress_ = prev_state;
+      self->scc_in_progress_id_ = prev_id;
+    }
+  } in_progress{this, scc_in_progress_, scc_in_progress_id_};
   scc_in_progress_ = &state;
   scc_in_progress_id_ = scc_id;
 
   bool changed = true;
-  int iterations = 0;
+  int64_t rounds = 0;
   std::vector<int> ordered = members;
   std::sort(ordered.begin(), ordered.end());
   ResourceGovernor* const gov = options_.governor;
   while (changed) {
     changed = false;
-    if (++iterations > options_.max_fixpoint_iterations) {
-      scc_in_progress_ = prev_in_progress;
-      scc_in_progress_id_ = prev_id;
-      return Status::ExecutionError("recursive fixpoint did not converge");
-    }
+    ++rounds;
     ++stats_.fixpoint_iterations;
     if (options_.progress != nullptr) {
       options_.progress->SetFixpointRound(stats_.fixpoint_iterations);
     }
-    if (gov != nullptr) {
-      // Governor round boundary: cancellation/deadline poll plus the
-      // fixpoint-iteration budget (cumulative across the query's SCCs).
-      Status gst = gov->CheckPoint();
-      if (gst.ok()) {
-        gst = gov->CheckFixpointIteration(stats_.fixpoint_iterations);
-      }
-      if (!gst.ok()) {
-        scc_in_progress_ = prev_in_progress;
-        scc_in_progress_id_ = prev_id;
-        return gst;
-      }
-    }
+    // Governor round boundary: cancellation/deadline poll plus the
+    // fixpoint-iteration cap (cumulative across the query's SCCs), which is
+    // what ends a recursion that never converges.
+    SM_RETURN_IF_ERROR(gov->CheckPoint());
+    SM_RETURN_IF_ERROR(gov->CheckFixpointIteration(stats_.fixpoint_iterations));
     for (int bid : ordered) {
-      Box* b = graph_->GetBox(bid);
-      Result<Table> next = ComputeBox(b, env);
-      if (!next.ok()) {
-        scc_in_progress_ = prev_in_progress;
-        scc_in_progress_id_ = prev_id;
-        return next.status();
-      }
-      if (next->num_rows() != state.at(bid).num_rows()) changed = true;
-      if (gov != nullptr) {
-        // Swap the member's relation charge: new total in, old total out
-        // (reserve-then-release so the transient double-count is what a
-        // real copy would occupy). The charge survives convergence — the
-        // state tables move into the box-result cache below.
-        int64_t old_bytes = TableBytes(state.at(bid));
-        int64_t new_bytes = TableBytes(*next);
-        Status gst = gov->Reserve(new_bytes);
-        if (!gst.ok()) {
-          scc_in_progress_ = prev_in_progress;
-          scc_in_progress_id_ = prev_id;
-          return gst;
-        }
-        gov->Release(old_bytes);
-      }
-      state.at(bid) = std::move(*next);
+      SM_ASSIGN_OR_RETURN(Table next, ComputeBox(graph_->GetBox(bid), env));
+      if (next.num_rows() != state.at(bid).num_rows()) changed = true;
+      // Swap the member's relation charge: new total in, old total out
+      // (reserve-then-release so the transient double-count is what a real
+      // copy would occupy). The charge survives convergence — the state
+      // tables move into the box-result cache below.
+      SM_RETURN_IF_ERROR(gov->Reserve(TableBytes(next)));
+      gov->Release(TableBytes(state.at(bid)));
+      state.at(bid) = std::move(next);
     }
   }
-  scc_in_progress_ = prev_in_progress;
-  scc_in_progress_id_ = prev_id;
   for (int bid : ordered) {
     // The per-round reserve/release swaps above left exactly the final
     // relation's bytes charged; the table now joins the box-result cache,
     // so record that residual for the destructor's single release.
-    if (gov != nullptr) cache_charged_bytes_ += TableBytes(state.at(bid));
+    cache_charged_bytes_ += TableBytes(state.at(bid));
     cache_.emplace(bid, std::move(state.at(bid)));
   }
   scc_done_.insert(scc_id);
-  fixpoint_span.SetAttribute("iterations", static_cast<int64_t>(iterations));
+  fixpoint_span.SetAttribute("iterations", rounds);
   return Status::OK();
 }
 

@@ -30,10 +30,9 @@ struct ExecOptions {
   /// than the stored table. Disable to force scans (A/B benchmarks).
   bool use_secondary_indexes = true;
   /// Safety cap, per select-box evaluation, on the combinations each join
-  /// step produces and on the rows the projection produces.
+  /// step produces and on the rows the projection produces. Not a budget
+  /// duplicate: no ResourceBudget field stops a join step partway through.
   int64_t max_rows_per_box = 200'000'000;
-  /// Cap on fixpoint iterations for recursive components.
-  int max_fixpoint_iterations = 100'000;
   /// Span sink for per-box evaluation spans and fixpoint spans. No-op when
   /// null or disabled.
   Tracer* tracer = nullptr;
@@ -53,12 +52,13 @@ struct ExecOptions {
   /// tables; the split is a function of input size only, never of the
   /// thread count, so results cannot shift with it.
   int64_t morsel_size = 2048;
-  /// Per-query resource governor (not owned, may be null; must outlive the
-  /// run). When set, the executor charges every materialized allocation
-  /// against the governor's byte budget — join combination buffers,
-  /// hash-join build tables, box-result caches, fixpoint relations — and
-  /// polls it for cancellation/deadline at box entry, morsel boundaries,
-  /// and each fixpoint round. Null skips all accounting (zero overhead).
+  /// Per-query resource governor (not owned; must outlive the executor).
+  /// The executor charges every materialized allocation against its byte
+  /// budget — join combination buffers, hash-join build tables, box-result
+  /// caches, fixpoint relations — and polls it for cancellation/deadline at
+  /// box entry, morsel boundaries, and each fixpoint round; its fixpoint
+  /// check is the only cap on recursion. Null makes the executor create and
+  /// own one with ResourceBudget::Unlimited(), so every run is governed.
   ResourceGovernor* governor = nullptr;
   /// Live-progress sink for this query (not owned, may be null). Updated
   /// with wait-free relaxed stores at the same sites the governor polls —
@@ -177,10 +177,10 @@ class Executor {
   /// concatenated into *next in morsel order (reproducing the sequential
   /// loop's row order exactly) and the stats are summed into stats_. The
   /// body must only read shared state — in particular it must not call
-  /// EvalBox (caches are coordinator-only). When a governor is attached,
-  /// each morsel's buffer bytes are reserved worker-side as the morsel
-  /// completes and the total is added to *charged_bytes (the caller
-  /// releases them when the buffered combinations die).
+  /// EvalBox (caches are coordinator-only). Each morsel's buffer bytes are
+  /// reserved with the governor worker-side as the morsel completes and the
+  /// total is added to *charged_bytes (the caller releases them when the
+  /// buffered combinations die).
   Status ParallelAppend(
       int64_t n,
       const std::function<Status(int64_t begin, int64_t end, ComboVec* out,
@@ -202,7 +202,10 @@ class Executor {
 
   QueryGraph* graph_;
   const Catalog* catalog_;
-  ExecOptions options_;
+  /// The unlimited governor created when ExecOptions::governor is null.
+  /// Declared before pool_, whose workers poll it, so it outlives them.
+  std::unique_ptr<ResourceGovernor> owned_governor_;
+  ExecOptions options_;  ///< options_.governor is never null
   ExecStats stats_;
   std::map<int, BoxExecStats> box_stats_;
   std::unique_ptr<WorkerPool> pool_;  ///< null when num_threads == 1

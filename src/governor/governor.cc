@@ -62,11 +62,12 @@ Status ResourceGovernor::CheckPoint() {
 }
 
 Status ResourceGovernor::CheckFixpointIteration(int64_t iterations) {
-  if (budget_.max_fixpoint_iterations > 0 &&
-      iterations > budget_.max_fixpoint_iterations) {
-    return Status::ResourceExhausted(StrCat(
-        "fixpoint iteration budget exceeded (limit ",
-        budget_.max_fixpoint_iterations, ")"));
+  const int64_t limit = budget_.max_fixpoint_iterations > 0
+                            ? budget_.max_fixpoint_iterations
+                            : kMaxFixpointIterations;
+  if (iterations > limit) {
+    return Status::ResourceExhausted(
+        StrCat("fixpoint iteration budget exceeded (limit ", limit, ")"));
   }
   return Status::OK();
 }

@@ -12,9 +12,15 @@ namespace starmagic {
 
 class Table;
 
-/// Per-query resource limits. A field of 0 means "unlimited" — the default
-/// budget allows everything, so attaching a governor with an unlimited
-/// budget only adds accounting, never aborts.
+/// Fixpoint rounds a query may run when its budget leaves
+/// max_fixpoint_iterations at 0: the engine's ceiling on a recursion that
+/// never converges.
+inline constexpr int64_t kMaxFixpointIterations = 100'000;
+
+/// Per-query resource limits. A field of 0 means "unlimited", except that
+/// fixpoint rounds stay capped at kMaxFixpointIterations: a governor with
+/// the default budget adds accounting and aborts only a recursion that
+/// runs past that ceiling.
 ///
 /// Budgets are enforced *cooperatively*: the executor charges bytes as it
 /// materializes state and polls the governor at morsel boundaries, box
@@ -26,7 +32,8 @@ struct ResourceBudget {
   int64_t max_memory_bytes = 0;
   /// Wall-clock deadline measured from governor creation (query start).
   double deadline_ms = 0;
-  /// Cap on total fixpoint rounds across all recursive SCCs of the query.
+  /// Cap on total fixpoint rounds across all recursive SCCs of the query
+  /// (0: kMaxFixpointIterations).
   int64_t max_fixpoint_iterations = 0;
   /// Cap on rows produced across all boxes of the query.
   int64_t max_output_rows = 0;
@@ -98,8 +105,9 @@ class ResourceGovernor {
   /// morsel boundaries, box entry, and each fixpoint round.
   Status CheckPoint();
 
-  /// Enforces the fixpoint-iteration budget; `iterations` is the total
-  /// so far across the query's SCCs.
+  /// Enforces the fixpoint-iteration budget, or kMaxFixpointIterations
+  /// when the budget sets none; `iterations` is the total so far across the
+  /// query's SCCs. This is the executor's only cap on recursion.
   Status CheckFixpointIteration(int64_t iterations);
 
   /// Enforces the output-row budget; `rows` is rows_produced so far.

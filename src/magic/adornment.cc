@@ -3,19 +3,9 @@
 namespace starmagic {
 namespace adorn {
 
-std::string AllFree(int n) { return std::string(static_cast<size_t>(n), 'f'); }
-
 bool IsAllFree(const std::string& a) {
   for (char c : a) {
     if (c != 'f') return false;
-  }
-  return true;
-}
-
-bool IsWellFormed(const std::string& a, int n) {
-  if (static_cast<int>(a.size()) != n) return false;
-  for (char c : a) {
-    if (c != 'b' && c != 'c' && c != 'f') return false;
   }
   return true;
 }

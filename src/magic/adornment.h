@@ -18,15 +18,9 @@ enum class BindKind : char { kFree = 'f', kBound = 'b', kCondition = 'c' };
 /// per output column of the adorned box.
 namespace adorn {
 
-/// "fff...f" of length n.
-std::string AllFree(int n);
-
 /// True if `a` consists only of b/c/f and no b or c appears (i.e. the
 /// adornment carries no restriction).
 bool IsAllFree(const std::string& a);
-
-/// True if `a` is a well-formed adornment of length n.
-bool IsWellFormed(const std::string& a, int n);
 
 /// Builds the adornment string from per-column kinds.
 std::string FromKinds(const std::vector<BindKind>& kinds);

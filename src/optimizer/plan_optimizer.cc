@@ -5,16 +5,6 @@
 
 namespace starmagic {
 
-std::string PlanInfo::ToString() const {
-  std::string out = StrCat("plan cost=", total_cost, "\n");
-  for (const auto& [box_id, order] : join_orders) {
-    std::vector<std::string> parts;
-    for (int qid : order) parts.push_back(StrCat("q", qid));
-    out += StrCat("  B", box_id, ": ", Join(parts, " x "), "\n");
-  }
-  return out;
-}
-
 PlanInfo OptimizePlan(QueryGraph* graph, const Catalog* catalog,
                       CostModel::Options cost_options) {
   PlanInfo info;

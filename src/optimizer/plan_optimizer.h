@@ -12,7 +12,6 @@ namespace starmagic {
 struct PlanInfo {
   double total_cost = 0;
   std::map<int, std::vector<int>> join_orders;  ///< box id -> quantifier ids
-  std::string ToString() const;
 };
 
 /// Chooses the join order of every reachable box (stored into the boxes)

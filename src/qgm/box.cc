@@ -69,13 +69,6 @@ const Quantifier* Box::FindQuantifier(int qid) const {
   return nullptr;
 }
 
-int Box::QuantifierIndex(int qid) const {
-  for (size_t i = 0; i < quantifiers_.size(); ++i) {
-    if (quantifiers_[i]->id == qid) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 void Box::AddPredicate(ExprPtr pred) { predicates_.push_back(std::move(pred)); }
 
 void Box::AddPredicateIfNew(ExprPtr pred) {

@@ -113,8 +113,6 @@ class Box {
   }
   Quantifier* FindQuantifier(int qid);
   const Quantifier* FindQuantifier(int qid) const;
-  /// Index of quantifier `qid` in declaration order, or -1.
-  int QuantifierIndex(int qid) const;
 
   // --- predicates (conjuncts of the WHERE of the box) -----------------------
   const std::vector<ExprPtr>& predicates() const { return predicates_; }

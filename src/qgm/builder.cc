@@ -34,6 +34,7 @@ Result<std::unique_ptr<QueryGraph>> QgmBuilder::Build(const AstBlob& blob) {
   table_boxes_.clear();
   view_boxes_.clear();
   views_in_progress_.clear();
+  view_stack_.clear();
   anon_counter_ = 0;
 
   auto graph = std::make_unique<QueryGraph>();
@@ -503,6 +504,17 @@ Result<Box*> QgmBuilder::ResolveRelation(QueryGraph* g,
 
 Result<Box*> QgmBuilder::BuildView(QueryGraph* g, const ViewDefinition& view) {
   std::string key = ToLower(view.name);
+  // Meeting a view again inside its own expansion is a cycle. A recursive
+  // view entered since then ends it (ResolveRelation returns that view's
+  // placeholder); through plain views alone it would expand without end.
+  for (auto it = view_stack_.rbegin();
+       it != view_stack_.rend() && !views_in_progress_.count(*it); ++it) {
+    if (*it == key) {
+      return Status::SemanticError(
+          StrCat("view '", view.name, "' is defined in terms of itself; ",
+                 "only CREATE RECURSIVE VIEW may recur"));
+    }
+  }
   const AstBlob* body = view.body.get();
   if (!body->order_by.empty() || body->limit.has_value()) {
     return Status::NotSupported(
@@ -539,6 +551,7 @@ Result<Box*> QgmBuilder::BuildView(QueryGraph* g, const ViewDefinition& view) {
       box->AddOutput(col, nullptr);
     }
     views_in_progress_[key] = box;
+    view_stack_.push_back(key);
     int i = 0;
     std::vector<Box*> branches;
     branches.push_back(nullptr);
@@ -560,12 +573,15 @@ Result<Box*> QgmBuilder::BuildView(QueryGraph* g, const ViewDefinition& view) {
       g->NewQuantifier(box, QuantifierType::kForEach, branch, "b");
     }
     views_in_progress_.erase(key);
+    view_stack_.pop_back();
     view_boxes_[key] = box;
     return box;
   }
 
+  view_stack_.push_back(key);
   SM_ASSIGN_OR_RETURN(Box * box,
                       BuildBlob(g, *body, nullptr, ToUpper(view.name)));
+  view_stack_.pop_back();
   if (!view.column_names.empty()) {
     if (static_cast<int>(view.column_names.size()) != box->NumOutputs()) {
       return Status::SemanticError(

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/status.h"
@@ -59,6 +60,8 @@ class QgmBuilder {
   std::map<std::string, Box*> table_boxes_;     ///< base tables, keyed lower
   std::map<std::string, Box*> view_boxes_;      ///< finished views
   std::map<std::string, Box*> views_in_progress_;  ///< recursive placeholders
+  /// Every view being expanded (plain and recursive), outermost first.
+  std::vector<std::string> view_stack_;
   int anon_counter_ = 0;
 };
 

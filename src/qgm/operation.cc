@@ -48,11 +48,4 @@ const OperationTraits* OperationRegistry::Get(const std::string& name) const {
   return it == ops_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> OperationRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(ops_.size());
-  for (const auto& [name, traits] : ops_) names.push_back(name);
-  return names;
-}
-
 }  // namespace starmagic

@@ -55,8 +55,6 @@ class OperationRegistry {
   /// Returns the traits for `name`, or nullptr.
   const OperationTraits* Get(const std::string& name) const;
 
-  std::vector<std::string> Names() const;
-
  private:
   OperationRegistry();
   std::map<std::string, OperationTraits> ops_;

@@ -7,13 +7,6 @@
 
 namespace starmagic {
 
-int64_t RewriteRunStats::FiresOf(const std::string& rule) const {
-  for (const RuleRunStats& r : rules) {
-    if (r.rule == rule) return r.fires;
-  }
-  return 0;
-}
-
 std::vector<Box*> DepthFirstBoxes(const QueryGraph& graph) {
   std::vector<Box*> order;
   if (graph.top() == nullptr) return order;

@@ -25,9 +25,6 @@ struct RewriteRunStats {
   int total_applications = 0;
   int passes = 0;  ///< fixpoint passes, including the final no-change pass
   std::vector<RuleRunStats> rules;  ///< one entry per added rule, add order
-
-  /// Fires of `rule`, or 0 when the rule is absent.
-  int64_t FiresOf(const std::string& rule) const;
 };
 
 /// Forward-chaining rule engine (§3.1). A cursor traverses the boxes of

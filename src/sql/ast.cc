@@ -79,21 +79,14 @@ const char* SetOpName(SetOp op) {
   return "?";
 }
 
-// --------------------------- Clone / ToString ------------------------------
+// ------------------------------- ToString ----------------------------------
 
-AstExprPtr AstLiteral::Clone() const { return std::make_unique<AstLiteral>(value); }
 std::string AstLiteral::ToString() const { return value.ToString(); }
 
-AstExprPtr AstColumnRef::Clone() const {
-  return std::make_unique<AstColumnRef>(qualifier, column);
-}
 std::string AstColumnRef::ToString() const {
   return qualifier.empty() ? column : StrCat(qualifier, ".", column);
 }
 
-AstExprPtr AstBinary::Clone() const {
-  return std::make_unique<AstBinary>(op, lhs->Clone(), rhs->Clone());
-}
 std::string AstBinary::ToString() const {
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
     return StrCat("(", lhs->ToString(), " ", BinaryOpSymbol(op), " ",
@@ -102,27 +95,15 @@ std::string AstBinary::ToString() const {
   return StrCat(lhs->ToString(), " ", BinaryOpSymbol(op), " ", rhs->ToString());
 }
 
-AstExprPtr AstUnary::Clone() const {
-  return std::make_unique<AstUnary>(op, operand->Clone());
-}
 std::string AstUnary::ToString() const {
   return op == UnaryOp::kNeg ? StrCat("-", operand->ToString())
                              : StrCat("NOT (", operand->ToString(), ")");
 }
 
-AstExprPtr AstIsNull::Clone() const {
-  return std::make_unique<AstIsNull>(operand->Clone(), negated);
-}
 std::string AstIsNull::ToString() const {
   return StrCat(operand->ToString(), negated ? " IS NOT NULL" : " IS NULL");
 }
 
-AstExprPtr AstInList::Clone() const {
-  std::vector<AstExprPtr> copy;
-  copy.reserve(list.size());
-  for (const auto& e : list) copy.push_back(e->Clone());
-  return std::make_unique<AstInList>(operand->Clone(), std::move(copy), negated);
-}
 std::string AstInList::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(list.size());
@@ -135,10 +116,6 @@ AstInSubquery::AstInSubquery(AstExprPtr e, std::unique_ptr<AstBlob> q, bool neg)
     : AstExpr(AstExprKind::kInSubquery), operand(std::move(e)),
       subquery(std::move(q)), negated(neg) {}
 AstInSubquery::~AstInSubquery() = default;
-AstExprPtr AstInSubquery::Clone() const {
-  return std::make_unique<AstInSubquery>(operand->Clone(), subquery->Clone(),
-                                         negated);
-}
 std::string AstInSubquery::ToString() const {
   return StrCat(operand->ToString(), negated ? " NOT IN (" : " IN (",
                 subquery->ToString(), ")");
@@ -147,9 +124,6 @@ std::string AstInSubquery::ToString() const {
 AstExists::AstExists(std::unique_ptr<AstBlob> q, bool neg)
     : AstExpr(AstExprKind::kExists), subquery(std::move(q)), negated(neg) {}
 AstExists::~AstExists() = default;
-AstExprPtr AstExists::Clone() const {
-  return std::make_unique<AstExists>(subquery->Clone(), negated);
-}
 std::string AstExists::ToString() const {
   return StrCat(negated ? "NOT EXISTS (" : "EXISTS (", subquery->ToString(), ")");
 }
@@ -157,53 +131,28 @@ std::string AstExists::ToString() const {
 AstScalarSubquery::AstScalarSubquery(std::unique_ptr<AstBlob> q)
     : AstExpr(AstExprKind::kScalarSubquery), subquery(std::move(q)) {}
 AstScalarSubquery::~AstScalarSubquery() = default;
-AstExprPtr AstScalarSubquery::Clone() const {
-  return std::make_unique<AstScalarSubquery>(subquery->Clone());
-}
 std::string AstScalarSubquery::ToString() const {
   return StrCat("(", subquery->ToString(), ")");
 }
 
-AstExprPtr AstAggregate::Clone() const {
-  return std::make_unique<AstAggregate>(func, distinct,
-                                        arg ? arg->Clone() : nullptr);
-}
 std::string AstAggregate::ToString() const {
   if (func == AggFunc::kCountStar) return "COUNT(*)";
   return StrCat(AggFuncName(func), "(", distinct ? "DISTINCT " : "",
                 arg->ToString(), ")");
 }
 
-AstExprPtr AstBetween::Clone() const {
-  return std::make_unique<AstBetween>(operand->Clone(), low->Clone(),
-                                      high->Clone(), negated);
-}
 std::string AstBetween::ToString() const {
   return StrCat(operand->ToString(), negated ? " NOT BETWEEN " : " BETWEEN ",
                 low->ToString(), " AND ", high->ToString());
 }
 
-AstExprPtr AstParameter::Clone() const {
-  return std::make_unique<AstParameter>(index);
-}
 std::string AstParameter::ToString() const { return "?"; }
 
-AstExprPtr AstLike::Clone() const {
-  return std::make_unique<AstLike>(operand->Clone(), pattern, negated);
-}
 std::string AstLike::ToString() const {
   return StrCat(operand->ToString(), negated ? " NOT LIKE '" : " LIKE '",
                 pattern, "'");
 }
 
-AstSelectItem AstSelectItem::Clone() const {
-  AstSelectItem item;
-  item.expr = expr ? expr->Clone() : nullptr;
-  item.alias = alias;
-  item.is_star = is_star;
-  item.star_qualifier = star_qualifier;
-  return item;
-}
 std::string AstSelectItem::ToString() const {
   if (is_star) {
     return star_qualifier.empty() ? "*" : StrCat(star_qualifier, ".*");
@@ -213,28 +162,10 @@ std::string AstSelectItem::ToString() const {
 }
 
 AstTableRef::~AstTableRef() = default;
-AstTableRef AstTableRef::Clone() const {
-  AstTableRef ref;
-  ref.table_name = table_name;
-  ref.alias = alias;
-  ref.subquery = subquery ? subquery->Clone() : nullptr;
-  return ref;
-}
 std::string AstTableRef::ToString() const {
   std::string base = subquery ? StrCat("(", subquery->ToString(), ")")
                               : table_name;
   return alias.empty() ? base : StrCat(base, " ", alias);
-}
-
-std::unique_ptr<AstBlock> AstBlock::Clone() const {
-  auto copy = std::make_unique<AstBlock>();
-  copy->distinct = distinct;
-  for (const auto& item : items) copy->items.push_back(item.Clone());
-  for (const auto& ref : from) copy->from.push_back(ref.Clone());
-  copy->where = where ? where->Clone() : nullptr;
-  for (const auto& e : group_by) copy->group_by.push_back(e->Clone());
-  copy->having = having ? having->Clone() : nullptr;
-  return copy;
 }
 
 std::string AstBlock::ToString() const {
@@ -258,24 +189,6 @@ std::string AstBlock::ToString() const {
   }
   if (having) out += StrCat(" HAVING ", having->ToString());
   return out;
-}
-
-AstOrderItem AstOrderItem::Clone() const {
-  AstOrderItem item;
-  item.expr = expr->Clone();
-  item.ascending = ascending;
-  return item;
-}
-
-std::unique_ptr<AstBlob> AstBlob::Clone() const {
-  auto copy = std::make_unique<AstBlob>();
-  copy->first = first->Clone();
-  for (const auto& [op, block] : rest) {
-    copy->rest.emplace_back(op, block->Clone());
-  }
-  for (const auto& item : order_by) copy->order_by.push_back(item.Clone());
-  copy->limit = limit;
-  return copy;
 }
 
 std::string AstBlob::ToString() const {

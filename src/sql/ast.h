@@ -68,7 +68,6 @@ struct AstExpr {
   AstExprKind kind;
   int position = 0;  ///< source offset for diagnostics
 
-  virtual std::unique_ptr<AstExpr> Clone() const = 0;
   virtual std::string ToString() const = 0;
 };
 
@@ -77,7 +76,6 @@ using AstExprPtr = std::unique_ptr<AstExpr>;
 struct AstLiteral : AstExpr {
   explicit AstLiteral(Value v) : AstExpr(AstExprKind::kLiteral), value(std::move(v)) {}
   Value value;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -86,7 +84,6 @@ struct AstColumnRef : AstExpr {
       : AstExpr(AstExprKind::kColumnRef), qualifier(std::move(q)), column(std::move(c)) {}
   std::string qualifier;  ///< table alias, may be empty
   std::string column;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -96,7 +93,6 @@ struct AstBinary : AstExpr {
   BinaryOp op;
   AstExprPtr lhs;
   AstExprPtr rhs;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -105,7 +101,6 @@ struct AstUnary : AstExpr {
       : AstExpr(AstExprKind::kUnary), op(o), operand(std::move(e)) {}
   UnaryOp op;
   AstExprPtr operand;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -114,7 +109,6 @@ struct AstIsNull : AstExpr {
       : AstExpr(AstExprKind::kIsNull), operand(std::move(e)), negated(neg) {}
   AstExprPtr operand;
   bool negated;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -125,7 +119,6 @@ struct AstInList : AstExpr {
   AstExprPtr operand;
   std::vector<AstExprPtr> list;
   bool negated;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -135,7 +128,6 @@ struct AstInSubquery : AstExpr {
   AstExprPtr operand;
   std::unique_ptr<AstBlob> subquery;
   bool negated;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -144,7 +136,6 @@ struct AstExists : AstExpr {
   ~AstExists() override;
   std::unique_ptr<AstBlob> subquery;
   bool negated;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -152,7 +143,6 @@ struct AstScalarSubquery : AstExpr {
   explicit AstScalarSubquery(std::unique_ptr<AstBlob> q);
   ~AstScalarSubquery() override;
   std::unique_ptr<AstBlob> subquery;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -162,7 +152,6 @@ struct AstAggregate : AstExpr {
   AggFunc func;
   bool distinct;
   AstExprPtr arg;  ///< null for COUNT(*)
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -174,7 +163,6 @@ struct AstBetween : AstExpr {
   AstExprPtr low;
   AstExprPtr high;
   bool negated;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -183,7 +171,6 @@ struct AstBetween : AstExpr {
 struct AstParameter : AstExpr {
   explicit AstParameter(int i) : AstExpr(AstExprKind::kParameter), index(i) {}
   int index;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -194,7 +181,6 @@ struct AstLike : AstExpr {
   AstExprPtr operand;
   std::string pattern;
   bool negated;
-  AstExprPtr Clone() const override;
   std::string ToString() const override;
 };
 
@@ -209,7 +195,6 @@ struct AstSelectItem {
   bool is_star = false;
   std::string star_qualifier;  ///< for `t.*`
 
-  AstSelectItem Clone() const;
   std::string ToString() const;
 };
 
@@ -224,7 +209,6 @@ struct AstTableRef {
   AstTableRef& operator=(AstTableRef&&) = default;
   ~AstTableRef();
 
-  AstTableRef Clone() const;
   std::string ToString() const;
   const std::string& EffectiveAlias() const {
     return alias.empty() ? table_name : alias;
@@ -240,7 +224,6 @@ struct AstBlock {
   std::vector<AstExprPtr> group_by;
   AstExprPtr having;
 
-  std::unique_ptr<AstBlock> Clone() const;
   std::string ToString() const;
 };
 
@@ -250,7 +233,6 @@ const char* SetOpName(SetOp op);
 struct AstOrderItem {
   AstExprPtr expr;
   bool ascending = true;
-  AstOrderItem Clone() const;
 };
 
 /// A union/except/intersect of blocks — the paper's "blob". A plain SELECT
@@ -261,7 +243,6 @@ struct AstBlob {
   std::vector<AstOrderItem> order_by;
   std::optional<int64_t> limit;
 
-  std::unique_ptr<AstBlob> Clone() const;
   std::string ToString() const;
   bool IsSingleBlock() const { return rest.empty(); }
 };

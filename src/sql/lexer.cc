@@ -30,10 +30,6 @@ const std::set<std::string>& Keywords() {
 
 }  // namespace
 
-bool IsReservedKeyword(const std::string& word) {
-  return Keywords().count(ToUpper(word)) > 0;
-}
-
 bool Token::IsKeyword(const char* kw) const {
   return type == TokenType::kKeyword && text == kw;
 }

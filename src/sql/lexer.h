@@ -53,9 +53,6 @@ struct Token {
 /// from a fixed list; `--` starts a line comment.
 Result<std::vector<Token>> Lex(const std::string& sql);
 
-/// True if `word` (any case) is a reserved keyword.
-bool IsReservedKeyword(const std::string& word);
-
 }  // namespace starmagic
 
 #endif  // STARMAGIC_SQL_LEXER_H_

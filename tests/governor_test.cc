@@ -65,7 +65,7 @@ TEST(ResourceGovernorTest, UnlimitedBudgetNeverAborts) {
   ResourceGovernor gov(ResourceBudget::Unlimited());
   EXPECT_TRUE(gov.Reserve(int64_t{1} << 40).ok());
   EXPECT_TRUE(gov.CheckPoint().ok());
-  EXPECT_TRUE(gov.CheckFixpointIteration(1'000'000).ok());
+  EXPECT_TRUE(gov.CheckFixpointIteration(kMaxFixpointIterations).ok());
   EXPECT_TRUE(gov.CheckOutputRows(1'000'000'000).ok());
 }
 
@@ -103,6 +103,17 @@ TEST(ResourceGovernorTest, IterationAndRowBudgetsAreInclusive) {
   Status rows = gov.CheckOutputRows(11);
   ASSERT_EQ(rows.code(), StatusCode::kResourceExhausted);
   EXPECT_NE(rows.message().find("limit 10 rows"), std::string::npos);
+}
+
+TEST(ResourceGovernorTest, DefaultBudgetCapsFixpointRoundsAtEngineCeiling) {
+  // A budget that leaves max_fixpoint_iterations at 0 still ends a
+  // recursion that never converges, with a typed error naming the limit.
+  ResourceGovernor gov(ResourceBudget{});
+  EXPECT_TRUE(gov.CheckFixpointIteration(100'000).ok());
+  Status s = gov.CheckFixpointIteration(100'001);
+  ASSERT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_NE(s.message().find("limit 100000"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(ResourceGovernorTest, TableBytesSumsRowBytes) {

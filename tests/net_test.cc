@@ -235,6 +235,33 @@ TEST(ObsServerTest, SysEndpointMatchesDirectSnapshot) {
   server.Stop();
 }
 
+TEST(ObsServerTest, PercentEscapedTargetsDecodeToTheSameResponse) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INTEGER)").ok());
+  ASSERT_TRUE(db.Query("SELECT a FROM t").ok());  // one query_log row
+  MetricsRegistry metrics;
+  ObsServer server(MakeObsEndpoints(&db, &metrics));
+  ASSERT_TRUE(server.Start(0).ok());
+  const int port = server.port();
+
+  // %XX escapes in the path and in a query value, with upper- and
+  // lower-case hex digits, decode to the unescaped request.
+  HttpReply plain = HttpGet(port, "/sys/query_log?format=json");
+  ASSERT_TRUE(plain.ok);
+  ASSERT_EQ(plain.status, 200);
+  HttpReply escaped = HttpGet(port, "/sys/query%5Flog?format=%6Ason");
+  ASSERT_TRUE(escaped.ok);
+  EXPECT_EQ(escaped.status, 200);
+  EXPECT_EQ(escaped.body, plain.body);
+  HttpReply lower = HttpGet(port, "/sys/query%5flog?%66ormat=%6a%73on");
+  ASSERT_TRUE(lower.ok);
+  EXPECT_EQ(lower.body, plain.body);
+
+  // A malformed escape passes through literally: "%zzjson" is no format.
+  EXPECT_EQ(HttpGet(port, "/sys/query_log?format=%zzjson").status, 400);
+  server.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Exposition content: one test pins the counter value three ways — the
 // `.metrics` render source (MetricsRegistry::ToString), the SQL-queryable

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/database.h"
 
 namespace starmagic {
@@ -87,6 +89,54 @@ TEST_F(RecursiveTest, MutualRecursionThroughTwoViews) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->table.num_rows(), 6);  // 0,2,4,6,8,10
   EXPECT_EQ(r->table.rows()[5][0].int_value(), 10);
+}
+
+TEST_F(RecursiveTest, PlainViewCyclesAreTypedErrors) {
+  // Only CREATE RECURSIVE VIEW may recur. A plain view that reaches itself,
+  // directly or through another plain view, is a SemanticError naming it
+  // under every strategy and under EXPLAIN, not an endless expansion.
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE t (a INTEGER);
+    CREATE VIEW selfref (a) AS SELECT a FROM selfref;
+    CREATE VIEW ping (a) AS SELECT a FROM pong;
+    CREATE VIEW pong (a) AS SELECT a FROM ping;
+  )sql")
+                  .ok());
+  for (const char* view : {"selfref", "ping", "pong"}) {
+    for (ExecutionStrategy strategy :
+         {ExecutionStrategy::kOriginal, ExecutionStrategy::kCorrelated,
+          ExecutionStrategy::kMagic}) {
+      for (const char* prefix : {"", "EXPLAIN "}) {
+        std::string sql = std::string(prefix) + "SELECT a FROM " + view;
+        auto r = db_.Query(sql, QueryOptions(strategy));
+        ASSERT_FALSE(r.ok()) << sql;
+        EXPECT_EQ(r.status().code(), StatusCode::kSemanticError)
+            << sql << ": " << r.status().ToString();
+        EXPECT_NE(r.status().message().find(std::string("view '") + view),
+                  std::string::npos)
+            << sql << ": " << r.status().ToString();
+      }
+    }
+  }
+}
+
+TEST_F(RecursiveTest, PlainViewInsideARecursiveCycleExpands) {
+  // A cycle through a recursive view ends at its placeholder, whichever
+  // view the query names first.
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE RECURSIVE VIEW reach (src, dst) AS
+      SELECT src, dst FROM edge
+      UNION
+      SELECT h.src, e.dst FROM hop h, edge e WHERE h.dst = e.src;
+    CREATE VIEW hop (src, dst) AS SELECT src, dst FROM reach;
+  )sql")
+                  .ok());
+  for (const char* view : {"reach", "hop"}) {
+    auto r = db_.Query(std::string("SELECT COUNT(*) FROM ") + view,
+                       QueryOptions(ExecutionStrategy::kOriginal));
+    ASSERT_TRUE(r.ok()) << view << ": " << r.status().ToString();
+    EXPECT_EQ(r->table.rows()[0][0].int_value(), 14) << view;  // as tc
+  }
 }
 
 TEST_F(RecursiveTest, AggregationThroughRecursionRejected) {

@@ -269,18 +269,6 @@ TEST(SysReconcileTest, ActiveQueriesSeesTheRunningQueryButNotInternals) {
   EXPECT_EQ(db.progress()->active_count(), 0);
 }
 
-TEST(SysReconcileTest, ActiveQueriesRespectsProgressToggle) {
-  Database db;
-  db.EnableProgressTracking(false);
-  auto r = db.Query("SELECT * FROM sys.active_queries");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->table.num_rows(), 0);
-  db.EnableProgressTracking(true);
-  r = db.Query("SELECT * FROM sys.active_queries");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->table.num_rows(), 1);
-}
-
 // The HTTP endpoint path: SnapshotSysTable materializes a registered table
 // against live state without running SQL, and rejects unknown names.
 TEST(SysSnapshotTest, SnapshotSysTableMirrorsRegisteredTables) {
