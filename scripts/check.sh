@@ -28,6 +28,12 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 echo "== compile identity golden (asan) =="
 "${BUILD}/tests/compile_golden_test"
 
+# Observability identity under ASan, likewise its own step: the sys.*
+# rows, EXPLAIN ANALYZE text and metrics of a fixed script must match
+# tests/golden/observability.txt (wall-clock fields masked).
+echo "== observability golden (asan) =="
+"${BUILD}/tests/obs_golden_test"
+
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
 # Observability server smoke under ASan: start → scrape → shutdown, with
