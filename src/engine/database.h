@@ -21,7 +21,8 @@ namespace starmagic {
 struct QueryOptions {
   ExecutionStrategy strategy = ExecutionStrategy::kMagic;
   PipelineOptions pipeline;  ///< strategy field is overwritten from above
-  /// Skip optimization-time cost comparison and rewriting diagnostics.
+  /// Store PrintGraph of the executed graph in QueryResult::plan_report
+  /// (SELECT, EXECUTE and EXPLAIN ANALYZE; nothing runs for the others).
   bool capture_plan_report = false;
   /// Span sink threaded through the whole lifecycle (parse is untraced;
   /// optimization phases, rewrite passes, and execution get spans). No-op
@@ -30,10 +31,6 @@ struct QueryOptions {
   /// Counter/histogram sink ("query.executions", "rewrite.fires.<rule>",
   /// "exec.rows_produced", ...). May be null.
   MetricsRegistry* metrics = nullptr;
-  /// §3.2 decision audit: the chosen plan's estimated cost is compared to
-  /// the actual TotalWork after execution; past this Q-error ratio the run
-  /// counts as a mispredict (`optimizer.mispredict`, warning span).
-  double mispredict_ratio = 10.0;
   /// Worker threads for morsel-driven parallel execution (see
   /// ExecOptions::num_threads). 1 = sequential. Results and deterministic
   /// work counters are identical for any value.
@@ -61,19 +58,27 @@ struct QueryOptions {
   bool use_plan_cache = false;
   /// Marks an engine-internal introspection query (the shell's canned
   /// sys.* queries behind dot-commands). Internal queries observe without
-  /// perturbing: they are not recorded in the query log, write no metrics,
-  /// and run with an unlimited governor budget (sys.governor still reports
-  /// `budget` — the budget being *displayed*, not enforced on the display).
+  /// perturbing: Query() runs them with no metrics sink, an unlimited
+  /// budget and no cancel token, and records them nowhere. Their sys.*
+  /// snapshot still reads the options as passed: sys.metrics reads
+  /// `metrics`, and sys.governor and sys.settings show `budget` and the
+  /// rest — the options being *displayed*, not enforced on the display.
   bool internal = false;
 
   QueryOptions() = default;
   explicit QueryOptions(ExecutionStrategy s) : strategy(s) {}
 };
 
-/// Everything a query run produces: the result table, the optimizer's
-/// §3.2 choice (the PlanChoice base), and the executor's deterministic
-/// work counters.
+/// The one per-query record: the result table, the optimizer's §3.2
+/// choice (the PlanChoice base), the rule fires, and what execution cost.
+/// Query() fills it on failure too — the kind once parsed, the choice and
+/// fires once compiled, the governor stats once executed — and its one
+/// post-query writer feeds the query log, sys.rewrite_rules,
+/// sys.box_stats and the exec.* / governor.* metrics from it.
 struct QueryResult : PlanChoice {
+  /// "select" | "explain" | "explain-analyze" | "prepare" | "execute" |
+  /// "deallocate" (a statement that fails to parse stays "select").
+  const char* kind = "select";
   Table table;
   ExecStats exec_stats;
   /// Rows the query produced. For EXPLAIN ANALYZE this counts the rows of
@@ -88,13 +93,18 @@ struct QueryResult : PlanChoice {
   std::vector<RuleFireStats> rule_fires;
   /// Per-box runtime stats, populated by EXPLAIN ANALYZE only.
   std::map<int, BoxExecStats> box_stats;
+  /// The sys.box_stats rows of an EXPLAIN ANALYZE: every box in id order,
+  /// its estimate next to its runtime stats. Empty otherwise.
+  std::vector<SysBoxStatRow> box_rows;
   /// For EXPLAIN [ANALYZE] queries: the annotated plan text. The same text
   /// is returned as the rows of `table` (one line per row).
   std::string analyze_report;
   /// Resource-governor outcome of the execution: peak accounted bytes and
   /// cooperative-check count. Peak bytes are thread-count invariant for a
-  /// given query (see docs/resource-governor.md).
+  /// given query (see docs/resource-governor.md). Set whenever `executed`,
+  /// even when execution failed.
   GovernorStats governor;
+  bool executed = false;  ///< the plan ran (to completion or to an abort)
   /// True when the plan came from the plan cache (the compile pipeline was
   /// skipped). PREPARE counts as a lookup too, so re-preparing a body that
   /// is already cached is a hit. Always false for DEALLOCATE.
@@ -158,8 +168,7 @@ class Database {
   /// consistent, deterministic under parallel execution, and charged to
   /// the query's governor like any other scan). DDL/DML against sys.*
   /// returns StatusCode::kReadOnly. Extensions may Register additional
-  /// tables. Detach entirely (benchmarks measuring the registry's absence)
-  /// with catalog()->AttachSystemRegistry(nullptr).
+  /// tables.
   SystemTableRegistry* system_tables() { return &sys_registry_; }
   const SystemTableRegistry* system_tables() const { return &sys_registry_; }
 
@@ -203,14 +212,6 @@ class Database {
     int num_params = 0;
   };
 
-  /// What Compile hands to Execute: the chosen, plan-optimized graph (a
-  /// private clone on a cache hit) and the result it starts, holding the
-  /// §3.2 choice, the rule fires (empty on a hit) and the cache outcome.
-  struct CompiledPlan {
-    std::unique_ptr<QueryGraph> graph;
-    QueryResult result;
-  };
-
   /// Runs a DDL/DML statement. CREATE VIEW moves the parsed body out of
   /// `stmt` into the catalog.
   Status ExecuteStatement(AstStatement& stmt);
@@ -226,28 +227,30 @@ class Database {
   /// OptimizeBlob and inserts the result, pinned to the current catalog
   /// versions, with `num_params` (-1: count the graph's `?` leaves). Then
   /// records the plan_cache.* metrics and the progress row estimate.
-  Result<CompiledPlan> Compile(const AstBlob& blob,
-                               const std::string& cache_sql, int num_params,
-                               const QueryOptions& options,
-                               ProgressTracker* progress);
+  /// Returns the chosen, plan-optimized graph (a private clone on a hit)
+  /// and writes the §3.2 choice, the rule fires (none on a hit) and the
+  /// cache outcome into *record.
+  Result<std::unique_ptr<QueryGraph>> Compile(const AstBlob& blob,
+                                              const std::string& cache_sql,
+                                              int num_params,
+                                              const QueryOptions& options,
+                                              ProgressTracker* progress,
+                                              QueryResult* record);
 
-  /// The one execute path: runs plan->graph under a governor built from
-  /// `options` and fills plan->result (rows, exec/box/governor stats, the
-  /// decision audit). `analyze` collects per-box stats for EXPLAIN
-  /// ANALYZE. *governor_out is filled even when execution fails (the query
-  /// log records peak bytes for aborted queries too). `progress` (may be
-  /// null) receives live execution updates.
-  Status Execute(CompiledPlan* plan, const QueryOptions& options,
-                 bool analyze, ProgressTracker* progress,
-                 GovernorStats* governor_out);
+  /// The one execute path: runs `graph` under a governor built from
+  /// `options` and fills *record (rows, exec/box stats, the decision
+  /// audit). The governor stats are filled even when execution fails.
+  /// `analyze` collects per-box stats for EXPLAIN ANALYZE. `progress` (may
+  /// be null) receives live execution updates.
+  Status Execute(QueryGraph* graph, const QueryOptions& options, bool analyze,
+                 ProgressTracker* progress, QueryResult* record);
 
   /// EXPLAIN [ANALYZE]: compile, execute when ANALYZE, render the
-  /// annotated plan. `sql` is the full statement text — the plan-cache key
-  /// when use_plan_cache is set.
-  Result<QueryResult> RunExplain(const AstExplain& ex, const std::string& sql,
-                                 const QueryOptions& options,
-                                 ProgressTracker* progress,
-                                 GovernorStats* governor_out);
+  /// annotated plan into *record. `sql` is the full statement text — the
+  /// plan-cache key when use_plan_cache is set.
+  Status RunExplain(const AstExplain& ex, const std::string& sql,
+                    const QueryOptions& options, ProgressTracker* progress,
+                    QueryResult* record);
 
   /// Runs `fn` with sys.* names resolving against a snapshot of live
   /// engine state scoped to this call.
@@ -263,12 +266,17 @@ class Database {
     return popts;
   }
 
-  /// Query() minus the query-log bookkeeping; sets *kind for the log.
-  Result<QueryResult> QueryInternal(const std::string& sql,
-                                    const QueryOptions& options,
-                                    ProgressTracker* progress,
-                                    std::string* kind,
-                                    GovernorStats* governor_out);
+  /// Query() minus the bookkeeping: parses and runs one statement, filling
+  /// *record as far as it gets.
+  Status QueryInternal(const std::string& sql, const QueryOptions& options,
+                       ProgressTracker* progress, QueryResult* record);
+
+  /// The one post-query writer: records a finished (non-internal) query's
+  /// record in the query log, the rewrite totals, sys.box_stats and the
+  /// exec.* / governor.* metrics of `options`.
+  void RecordQuery(const std::string& sql, const QueryOptions& options,
+                   const Status& status, const QueryResult& record,
+                   double wall_ms);
 
   /// The engine state a sys.* snapshot for this query may read. `options`
   /// feeds sys.settings (lazily) and sys.governor's budget_* rows.
@@ -285,20 +293,20 @@ class Database {
   ProgressRegistry progress_;
   /// Guards the plain-data observability aggregates below
   /// (last_box_stats_, rewrite_totals_) against concurrent reads from the
-  /// SnapshotSysTable path (the HTTP server thread). Writes happen at
-  /// query end on the coordinator; the per-query sys snapshot path reads
-  /// them from the same coordinator thread, so only the cross-thread
+  /// SnapshotSysTable path (the HTTP server thread). RecordQuery writes
+  /// them at query end on the coordinator; the per-query sys snapshot path
+  /// reads them from the same coordinator thread, so only the cross-thread
   /// snapshot needs the lock.
   mutable std::mutex obs_mu_;
-  /// Per-box stats of the last successful EXPLAIN ANALYZE, retained for
-  /// sys.box_stats so plan quality stays queryable after the fact.
+  /// The box rows of the last successful EXPLAIN ANALYZE's record,
+  /// retained for sys.box_stats so plan quality stays queryable.
   std::vector<SysBoxStatRow> last_box_stats_;
-  /// Cumulative per-rule rewrite fire/attempt/wall-time totals across all
-  /// (non-internal) queries, keyed by rule name — the rows of
-  /// sys.rewrite_rules. Database-side so the table works without an
-  /// attached MetricsRegistry and so the nondeterministic wall times stay
-  /// out of the deterministic counter namespace.
-  std::map<std::string, SysRuleStats> rewrite_totals_;
+  /// Cumulative per-rule fires, attempts and wall time across all
+  /// (non-internal) queries, keyed by rule name (the phase is unused) —
+  /// the rows of sys.rewrite_rules. Database-side so the table works
+  /// without an attached MetricsRegistry and so the nondeterministic wall
+  /// times stay out of the deterministic counter namespace.
+  std::map<std::string, RuleFireStats> rewrite_totals_;
 };
 
 }  // namespace starmagic

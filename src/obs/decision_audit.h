@@ -28,6 +28,10 @@ struct DecisionAudit {
 /// Always >= 1; 1 means a perfect estimate.
 double QError(double estimated, double actual);
 
+/// The Q-error past which the engine's audit of each executed decision
+/// counts a mispredict.
+constexpr double kMispredictRatio = 10.0;
+
 /// Audits one executed plan decision of the §3.2 heuristic (optimize
 /// without EMST -> C1, with EMST -> C2, run the cheaper plan):
 ///   * increments `optimizer.decisions.emst` or `optimizer.decisions.no_emst`,

@@ -48,7 +48,7 @@ std::string QueryLogEntry::ToString() const {
   }
   if (!rule_fires.empty()) {
     out += "    fires:";
-    for (const QueryLogRuleFire& f : rule_fires) {
+    for (const RuleFireStats& f : rule_fires) {
       out += StrCat(" ", f.phase, "/", f.rule, "=", f.fires);
     }
     out += "\n";

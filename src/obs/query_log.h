@@ -6,30 +6,19 @@
 #include <string>
 #include <vector>
 
+#include "optimizer/plan_choice.h"
+
 namespace starmagic {
 
-/// One phase-tagged rewrite-rule fire count in a query-log entry. A
-/// deliberately obs-local mirror of the optimizer's RuleFireStats so the
-/// query log does not depend on optimizer headers.
-struct QueryLogRuleFire {
-  std::string phase;
-  std::string rule;
-  int64_t fires = 0;
-};
-
 /// Everything the engine remembers about one Query() call: the SQL text,
-/// the §3.2 decision inputs (C1/C2, chosen plan), and what actually
-/// happened at runtime (work, wall time, rows, status).
-struct QueryLogEntry {
+/// the §3.2 decision (the PlanChoice base: C1/C2, chosen plan), and what
+/// actually happened at runtime (work, wall time, rows, status).
+struct QueryLogEntry : PlanChoice {
   int64_t id = 0;  ///< monotone sequence number, assigned by QueryLog
   std::string sql;
-  std::string kind;      ///< "select" | "explain" | "explain-analyze"
+  std::string kind;      ///< "select" | "explain" | "explain-analyze" | ...
   std::string strategy;  ///< StrategyName of the requested strategy
   std::string status = "ok";  ///< "ok" or the error Status text
-  double cost_no_emst = 0;    ///< C1: estimated cost without EMST
-  double cost_with_emst = 0;  ///< C2: estimated cost with EMST (magic only)
-  bool emst_applied = false;  ///< the EMST pipeline ran
-  bool emst_chosen = false;   ///< the transformed plan won the comparison
   int64_t total_work = 0;     ///< ExecStats::TotalWork of the execution
   int64_t rows = 0;           ///< rows the query produced
   double wall_ms = 0;         ///< end-to-end wall time of the Query() call
@@ -37,7 +26,7 @@ struct QueryLogEntry {
   /// nothing was materialized). Recorded for failing runs too — the first
   /// diagnostic for a ResourceExhausted entry.
   int64_t peak_memory_bytes = 0;
-  std::vector<QueryLogRuleFire> rule_fires;  ///< phase-tagged, fires > 0 only
+  std::vector<RuleFireStats> rule_fires;  ///< phase-tagged, fires > 0 only
 
   /// One-entry rendering (multi-line, newline-terminated).
   std::string ToString() const;

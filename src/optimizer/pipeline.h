@@ -8,6 +8,7 @@
 #include "magic/emst_rule.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "optimizer/plan_choice.h"
 #include "optimizer/plan_optimizer.h"
 #include "rewrite/engine.h"
 
@@ -58,31 +59,10 @@ struct PipelineOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// One (phase, rule) row of the per-rule fire table: which rewrite rules
-/// fired in which pipeline phase, and how long their Apply calls took.
-struct RuleFireStats {
-  std::string phase;  ///< "phase1", "phase2", "phase3", "phase2-sips", ...
-  std::string rule;
-  int64_t fires = 0;
-  int64_t attempts = 0;
-  double wall_ms = 0;
-};
-
 /// Renders `fires` as an aligned table, rows with zero fires elided unless
 /// `include_zero`.
 std::string RuleFireTable(const std::vector<RuleFireStats>& fires,
                           bool include_zero = false);
-
-/// The §3.2 outcome of one compile. A base of every struct that carries
-/// it (PipelineResult, CachedPlan, QueryResult), so passing the outcome
-/// along is one assignment.
-struct PlanChoice {
-  double cost_no_emst = 0;       ///< C1: plan cost before EMST
-  double cost_with_emst = 0;     ///< C2: plan cost after EMST (magic only)
-  bool emst_applied = false;     ///< EMST pipeline ran
-  bool emst_chosen = false;      ///< transformed plan was the winner
-  int rewrite_applications = 0;  ///< total across phases (= sum of fires)
-};
 
 struct PipelineResult : PlanChoice {
   std::unique_ptr<QueryGraph> graph;  ///< the chosen, plan-optimized graph

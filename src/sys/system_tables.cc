@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "catalog/catalog.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/query_log.h"
+#include "plan/plan_cache.h"
 
 namespace starmagic {
 
@@ -184,7 +186,7 @@ std::vector<Row> FillQueryLog(const SysEngineState& s) {
   if (s.query_log == nullptr) return rows;
   for (const QueryLogEntry& e : s.query_log->SnapshotEntries()) {
     std::string fires;
-    for (const QueryLogRuleFire& f : e.rule_fires) {
+    for (const RuleFireStats& f : e.rule_fires) {
       if (!fires.empty()) fires += ' ';
       fires += StrCat(f.phase, "/", f.rule, "=", f.fires);
     }
@@ -347,13 +349,16 @@ std::vector<Row> FillBoxStats(const SysEngineState& s) {
 // resident, how hot is it, and which catalog versions does it pin".
 std::vector<Row> FillPlanCache(const SysEngineState& s) {
   std::vector<Row> rows;
-  if (!s.plan_cache_fn) return rows;
-  for (const SysPlanCacheRow& r : s.plan_cache_fn()) {
-    rows.push_back(Row{Value::Int(r.entry_id), Value::String(r.key_hash),
-                       Value::String(r.sql), Value::String(r.fingerprint),
-                       Value::Int(r.hits), Value::Int(r.bytes),
-                       Value::Int(r.num_params), Value::Int(r.ddl_version),
-                       Value::String(r.tables)});
+  if (s.plan_cache == nullptr) return rows;
+  for (const PlanCacheEntryInfo& e : s.plan_cache->Snapshot()) {
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(e.key_hash));
+    rows.push_back(Row{Value::Int(e.entry_id), Value::String(hash),
+                       Value::String(e.sql), Value::String(e.fingerprint),
+                       Value::Int(e.hits), Value::Int(e.bytes),
+                       Value::Int(e.num_params), Value::Int(e.ddl_version),
+                       Value::String(e.tables)});
   }
   return rows;
 }

@@ -10,11 +10,13 @@
 #include "catalog/table.h"
 #include "common/status.h"
 #include "governor/governor.h"
+#include "optimizer/plan_choice.h"
 
 namespace starmagic {
 
 class Catalog;
 class MetricsRegistry;
+class PlanCache;
 class ProgressRegistry;
 class QueryLog;
 class SystemTableRegistry;
@@ -23,16 +25,6 @@ class SystemTableRegistry;
 /// case-insensitive). Such names never resolve to stored tables; DDL/DML
 /// against them returns StatusCode::kReadOnly.
 bool IsSysTableName(const std::string& name);
-
-/// Cumulative per-rewrite-rule totals, accumulated by the Database across
-/// Query() calls (sys.rewrite_rules rows). Fires and attempts are
-/// deterministic; wall_ms is wall-clock-side (excluded, like parallel.*
-/// metrics, from determinism comparisons).
-struct SysRuleStats {
-  int64_t fires = 0;
-  int64_t attempts = 0;
-  double wall_ms = 0;
-};
 
 /// One effective knob of the observing query (sys.settings row).
 struct SysSettingRow {
@@ -55,20 +47,6 @@ struct SysBoxStatRow {
   double wall_ms = 0;
 };
 
-/// One plan-cache entry (sys.plan_cache row), LRU order (most recently
-/// used first). Produced by the Database from PlanCache::Snapshot.
-struct SysPlanCacheRow {
-  int64_t entry_id = 0;
-  std::string key_hash;  ///< FNV-1a of the cache key, 16 hex digits
-  std::string sql;       ///< normalized SQL of the key
-  std::string fingerprint;
-  int64_t hits = 0;
-  int64_t bytes = 0;
-  int64_t num_params = 0;
-  int64_t ddl_version = 0;  ///< catalog DDL version pinned at compile
-  std::string tables;       ///< "name@modified/analyzed" pins, comma-joined
-};
-
 /// Everything a system-table fill function may read. The engine assembles
 /// one per query; all pointers are borrowed and may be null (a table whose
 /// source is absent materializes empty). `settings` is produced lazily via
@@ -82,14 +60,15 @@ struct SysEngineState {
   ResourceBudget budget;
   /// Retained per-box stats of the last EXPLAIN ANALYZE (may be null).
   const std::vector<SysBoxStatRow>* box_stats = nullptr;
-  /// Cumulative per-rule rewrite totals, keyed by rule name (may be null).
-  const std::map<std::string, SysRuleStats>* rewrite_rules = nullptr;
+  /// Cumulative per-rule rewrite totals (fires, attempts, wall_ms; the
+  /// phase is unused), keyed by rule name (may be null).
+  const std::map<std::string, RuleFireStats>* rewrite_rules = nullptr;
   /// In-flight query trackers (sys.active_queries rows; may be null).
   const ProgressRegistry* progress = nullptr;
   /// Lazily invoked once when sys.settings materializes.
   std::function<std::vector<SysSettingRow>()> settings_fn;
-  /// Lazily invoked once when sys.plan_cache materializes.
-  std::function<std::vector<SysPlanCacheRow>()> plan_cache_fn;
+  /// The plan cache (sys.plan_cache rows; may be null). Internally locked.
+  const PlanCache* plan_cache = nullptr;
 };
 
 /// Produces the rows of one system table from a consistent engine state.

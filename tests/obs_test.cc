@@ -636,7 +636,7 @@ TEST_F(ObsQueryTest, ExplainAnalyzePopulatesLogAuditAndQError) {
   EXPECT_GT(entry->total_work, 0);
   EXPECT_EQ(entry->rows, result->result_rows);
   EXPECT_FALSE(entry->rule_fires.empty());
-  for (const QueryLogRuleFire& f : entry->rule_fires) EXPECT_GT(f.fires, 0);
+  for (const RuleFireStats& f : entry->rule_fires) EXPECT_GT(f.fires, 0);
 
   // (2) Decision audit: exactly one decision was counted, on the side the
   // optimizer chose, and the audit is embedded in result + report.
