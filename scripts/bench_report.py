@@ -31,7 +31,6 @@ import argparse
 import glob
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -99,8 +98,6 @@ def validate_file(path):
                               "non-negative number")
     if not check_thread_invariance(path, samples):
         return False
-    if not check_registry_overhead(path, samples, doc["smoke"]):
-        return False
     if not check_plan_cache_identity(path, samples, doc["smoke"]):
         return False
     print(f"{path}: ok ({doc['bench']}, {len(samples)} samples, "
@@ -127,50 +124,6 @@ def check_thread_invariance(path, samples):
                         f"thread count ({baseline['strategy']}: "
                         f"{baseline[field]} vs {s['strategy']}: {s[field]})")
     return True
-
-
-def check_registry_overhead(path, samples, smoke):
-    """Samples that only differ in the 'registry=off' / 'registry=on'
-    strategy (bench_systables) must report identical total_work and
-    rows — a system-table registry that is attached but never queried
-    may not change what any query computes — and the attached wall time
-    may exceed the detached one by at most 1%. The wall gate is
-    informational at smoke scale, where runs are too short to measure 1%
-    of anything, and applies only to single-thread cells ('..._t1'):
-    multi-thread cells are gated by the bench binary itself, which knows
-    the machine's hardware concurrency; this validator may run on a
-    different machine, where an oversubscribed cell's wall time measures
-    the scheduler rather than the registry. The work/rows identity fails
-    at every scale and every thread count."""
-    by_workload = {}
-    for s in samples:
-        if s["strategy"] in ("registry=off", "registry=on"):
-            by_workload.setdefault(s["workload"], {})[s["strategy"]] = s
-    ok = True
-    for workload, pair in sorted(by_workload.items()):
-        if len(pair) != 2:
-            ok = fail(path, f"workload '{workload}': need both registry=off "
-                            "and registry=on samples to compare")
-            continue
-        off, on = pair["registry=off"], pair["registry=on"]
-        for field in ("total_work", "rows"):
-            if off[field] != on[field]:
-                ok = fail(path, f"workload '{workload}': {field} changes "
-                                f"with the system-table registry attached "
-                                f"({off[field]} vs {on[field]})")
-        multi_threaded = re.search(r"_t(\d+)$", workload) is not None and \
-            not workload.endswith("_t1")
-        if off["wall_ms"] > 0 and not multi_threaded:
-            overhead = (on["wall_ms"] - off["wall_ms"]) / off["wall_ms"]
-            if overhead > 0.01:
-                msg = (f"workload '{workload}': registry overhead "
-                       f"{overhead * 100:.1f}% exceeds the 1% budget")
-                if smoke:
-                    print(f"{path}: note: {msg} (informational at smoke "
-                          "scale)")
-                else:
-                    ok = fail(path, msg)
-    return ok
 
 
 def check_plan_cache_identity(path, samples, smoke):
