@@ -232,6 +232,57 @@ TEST(SysReconcileTest, QueryLogRowsMirrorEntries) {
   }
 }
 
+// A query that compiles and then aborts in execution keeps its record: the
+// log row carries the §3.2 choice and the rule fires, and the
+// sys.rewrite_rules totals count them exactly as the rewrite.fires.<rule>
+// counters do (both are fed from the same compile).
+TEST(SysReconcileTest, GovernorAbortKeepsChoiceAndFiresInLogAndTotals) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE t (a INTEGER, b INTEGER);
+    INSERT INTO t VALUES (1, 2), (1, 3), (2, 2), (3, 4);
+    CREATE VIEW v (a, s) AS SELECT a, SUM(b) FROM t GROUP BY a;
+    ANALYZE;
+  )sql")
+                  .ok());
+  MetricsRegistry metrics;
+  QueryOptions opts;
+  opts.metrics = &metrics;
+  ASSERT_TRUE(
+      db.Query("SELECT t.a, v.s FROM t, v WHERE t.a = v.a AND t.b = 2", opts)
+          .ok());
+  QueryOptions limited = opts;
+  limited.budget.max_output_rows = 1;
+  auto aborted = db.Query("SELECT t.a, v.s FROM t, v WHERE t.a = v.a", limited);
+  ASSERT_EQ(aborted.status().code(), StatusCode::kResourceExhausted);
+
+  Table rules = SysQuery(&db, "SELECT * FROM sys.rewrite_rules");
+  ASSERT_GT(rules.num_rows(), 0);
+  for (const Row& row : rules.rows()) {
+    std::string rule = StrCol(rules, row, "rule");
+    EXPECT_EQ(IntCol(rules, row, "fires"),
+              metrics.CounterValue("rewrite.fires." + rule))
+        << rule;
+  }
+
+  Table log = SysQuery(&db, "SELECT * FROM sys.query_log");
+  ASSERT_EQ(log.num_rows(), 2);
+  const Row& failed = log.rows()[1];
+  EXPECT_NE(StrCol(log, failed, "status").find("ResourceExhausted"),
+            std::string::npos);
+  int applied = log.schema().FindColumn("emst_applied");
+  EXPECT_TRUE(failed[static_cast<size_t>(applied)].bool_value());
+  int c1 = log.schema().FindColumn("cost_no_emst");
+  int c2 = log.schema().FindColumn("cost_with_emst");
+  EXPECT_GT(failed[static_cast<size_t>(c1)].double_value(), 0);
+  EXPECT_GT(failed[static_cast<size_t>(c2)].double_value(), 0);
+  EXPECT_NE(StrCol(log, failed, "rule_fires").find("/emst="),
+            std::string::npos)
+      << StrCol(log, failed, "rule_fires");
+  EXPECT_EQ(IntCol(log, failed, "total_work"), 0);
+  EXPECT_EQ(IntCol(log, failed, "rows"), 0);
+}
+
 // Snapshot-then-log: a query over sys.query_log sees every prior query but
 // never itself; the next query sees it.
 TEST(SysReconcileTest, QueryLogSnapshotExcludesTheObservingQuery) {
