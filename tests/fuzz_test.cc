@@ -80,7 +80,9 @@ void BuildRandomDb(Database* db, Rng* rng) {
         "CREATE INDEX f_gk ON fact (g, k)",
         "CREATE INDEX d_g ON dim (g) USING ORDERED",
         "CREATE INDEX d_w ON dim (w) USING ORDERED"}) {
-    if (rng->Chance(50)) ASSERT_TRUE(db->Execute(ddl).ok());
+    if (rng->Chance(50)) {
+      ASSERT_TRUE(db->Execute(ddl).ok());
+    }
   }
 }
 
