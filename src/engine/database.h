@@ -93,6 +93,8 @@ struct QueryResult : PlanChoice {
   std::vector<RuleFireStats> rule_fires;
   /// Per-box runtime stats, populated by EXPLAIN ANALYZE only.
   std::map<int, BoxExecStats> box_stats;
+  /// Per-base-table access stats (scans, index probes), likewise.
+  std::map<int, BoxExecStats> table_stats;
   /// The sys.box_stats rows of an EXPLAIN ANALYZE: every box in id order,
   /// its estimate next to its runtime stats. Empty otherwise.
   std::vector<SysBoxStatRow> box_rows;

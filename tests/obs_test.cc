@@ -731,6 +731,53 @@ TEST_F(ObsQueryTest, RecursiveExplainAnalyzeRowsReconcile) {
   EXPECT_EQ(result->result_rows, 5);  // 1->2,3,4,5,6
 }
 
+TEST_F(ObsQueryTest, ExplainAnalyzeRecordsBaseTableScansAndProbes) {
+  Database db;
+  Populate(&db);
+  MetricsRegistry metrics;
+  QueryOptions options(ExecutionStrategy::kOriginal);
+  options.metrics = &metrics;
+  // Without an index both tables are scanned once: each base-table box
+  // reads its whole table, and the scans feed qerror.basetable.
+  auto scanned = db.Query(
+      "EXPLAIN ANALYZE SELECT e.empno FROM department d, employee e "
+      "WHERE d.deptno = e.workdept AND d.deptname = 'Planning'",
+      options);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ(scanned->table_stats.size(), 2u);
+  int64_t read = 0;
+  for (const auto& [box_id, stats] : scanned->table_stats) {
+    EXPECT_EQ(stats.evaluations, 1);
+    EXPECT_EQ(stats.probes, 0);
+    read += stats.rows_out;
+  }
+  EXPECT_EQ(read, 8 + 64);
+  EXPECT_EQ(scanned->analyze_report.find("(not evaluated)"), std::string::npos)
+      << scanned->analyze_report;
+  const Histogram* basetable = metrics.FindHistogram("qerror.basetable");
+  ASSERT_NE(basetable, nullptr);
+  EXPECT_EQ(basetable->count(), 2);
+
+  // With an index on employee.workdept the employee box is probed, not
+  // scanned: probes and fetched rows land on it, and only the scanned
+  // department table is scored.
+  ASSERT_TRUE(db.Execute("CREATE INDEX emp_dept ON employee (workdept)").ok());
+  auto probed = db.Query(
+      "EXPLAIN ANALYZE SELECT e.empno FROM department d, employee e "
+      "WHERE d.deptno = e.workdept AND d.deptname = 'Planning'",
+      options);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  ASSERT_GT(probed->exec_stats.index_probes, 0);
+  int64_t probes = 0, fetched_or_read = 0;
+  for (const auto& [box_id, stats] : probed->table_stats) {
+    probes += stats.probes;
+    fetched_or_read += stats.rows_out;
+  }
+  EXPECT_EQ(probes, probed->exec_stats.index_probes);
+  EXPECT_EQ(fetched_or_read, 8 + probed->exec_stats.index_rows_fetched);
+  EXPECT_EQ(basetable->count(), 3);
+}
+
 TEST_F(ObsQueryTest, StaleStatsWarningAfterInsertWithoutAnalyze) {
   Database db;
   Populate(&db);

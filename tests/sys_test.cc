@@ -569,11 +569,20 @@ TEST(SysAnalyzeTest, JoinOfQueryLogAndMetricsReconcilesRowsOut) {
   EXPECT_EQ(sum_rows_out, r->exec_stats.rows_produced);
 
   // The analyze's per-box rows are retained and queryable: total act_rows
-  // in sys.box_stats reproduces the run's rows_produced.
+  // of the computed boxes in sys.box_stats reproduces the run's
+  // rows_produced, and the base-table rows carry the rows their scans read.
   Table boxes = SysQuery(&db, "SELECT * FROM sys.box_stats");
   int64_t act_total = 0;
-  for (const Row& row : boxes.rows()) act_total += IntCol(boxes, row, "act_rows");
+  int64_t read_total = 0;
+  for (const Row& row : boxes.rows()) {
+    const bool base = StrCol(boxes, row, "kind") == "BASETABLE";
+    (base ? read_total : act_total) += IntCol(boxes, row, "act_rows");
+  }
   EXPECT_EQ(act_total, r->exec_stats.rows_produced);
+  int64_t scanned = 0;
+  for (const auto& [box_id, stats] : r->table_stats) scanned += stats.rows_out;
+  EXPECT_GT(scanned, 0);
+  EXPECT_EQ(read_total, scanned);
 }
 
 // ---------------------------------------------------------------------------
