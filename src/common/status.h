@@ -1,6 +1,7 @@
 #ifndef STARMAGIC_COMMON_STATUS_H_
 #define STARMAGIC_COMMON_STATUS_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -34,12 +35,29 @@ enum class StatusCode {
 const char* StatusCodeName(StatusCode code);
 
 /// A lightweight success-or-error result. `Status::OK()` is the success
-/// value; error statuses carry a code and a message.
+/// value; error statuses carry a code and a message. The message lives on
+/// the heap only when there is one, so an OK status is a code and a null
+/// pointer: cheap to create, move and destroy on the executor's per-row
+/// paths.
 class Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty()
+                     ? nullptr
+                     : std::make_unique<std::string>(std::move(message))) {}
+  Status(const Status& other)
+      : code_(other.code_),
+        message_(other.message_ == nullptr
+                     ? nullptr
+                     : std::make_unique<std::string>(*other.message_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) *this = Status(other);
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -81,14 +99,17 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    static const std::string kEmpty;
+    return message_ != nullptr ? *message_ : kEmpty;
+  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
  private:
   StatusCode code_;
-  std::string message_;
+  std::unique_ptr<std::string> message_;
 };
 
 /// A value-or-Status result, in the spirit of absl::StatusOr. The engine

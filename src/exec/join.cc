@@ -2,11 +2,13 @@
 
 namespace starmagic {
 
-void JoinHashTable::Insert(Row key, int row_index) {
+void JoinHashTable::Insert(const Row& key, int row_index) {
   for (const Value& v : key) {
     if (v.is_null()) return;
   }
-  map_[std::move(key)].push_back(row_index);
+  auto it = map_.find(key);
+  if (it == map_.end()) it = map_.emplace(key, std::vector<int>()).first;
+  it->second.push_back(row_index);
 }
 
 const std::vector<int>* JoinHashTable::Probe(const Row& key) const {

@@ -16,7 +16,8 @@ class JoinHashTable {
   void Reserve(size_t n) { map_.reserve(n); }
 
   /// Inserts `row_index` under `key`; silently skips keys containing NULL.
-  void Insert(Row key, int row_index);
+  /// The key is copied only when it is new to the table.
+  void Insert(const Row& key, int row_index);
 
   /// Indexes matching `key`, or nullptr (including when `key` has NULLs).
   const std::vector<int>* Probe(const Row& key) const;

@@ -120,21 +120,28 @@ TEST_F(EvalTest, NonBooleanPredicateFails) {
 }
 
 TEST_F(EvalTest, EnvironmentLayering) {
+  // A box evaluated under correlation starts from a copy of its caller's
+  // environment and binds its own quantifiers on top.
   Row outer = {Value::Int(42)};
   RowEnv parent;
   parent.Bind(7, &outer);
-  RowEnv child(&parent);
+  RowEnv child = parent;
   Row inner = {Value::Int(1)};
   child.Bind(8, &inner);
   auto v = EvalScalar(*Col(7, 0), child);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->int_value(), 42);
-  // Shadowing: the child binding wins.
+  // Shadowing: the child binding wins, and the caller's stays put.
   Row shadow = {Value::Int(9)};
   child.Bind(7, &shadow);
   v = EvalScalar(*Col(7, 0), child);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->int_value(), 9);
+  v = EvalScalar(*Col(7, 0), parent);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->int_value(), 42);
+  // The child's own binding is invisible to the caller.
+  EXPECT_FALSE(EvalScalar(*Col(8, 0), parent).ok());
 }
 
 TEST(AggregateExprTest, AggregateOutsideGroupByFails) {
