@@ -2,6 +2,8 @@
 #define STARMAGIC_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
+#include <new>
 #include <string>
 #include <variant>
 
@@ -31,23 +33,96 @@ const char* ValueKindName(ValueKind kind);
 ///  - `CompareTotal` / `EqualsGrouping`: a total order where NULL sorts
 ///    first and equals itself — used by GROUP BY, DISTINCT, set
 ///    operations, and ORDER BY.
+///
+/// The representation is a tagged union: copying, moving or destroying a
+/// non-string value moves eight bytes and a tag, with no dispatch. It
+/// occupies exactly what a std::variant of the five kinds would, so
+/// MemoryBytes (and every governor charge built on it) does not depend on
+/// the representation.
 class Value {
  public:
-  Value() : rep_(std::monostate{}) {}
+  Value() : bits_(0), kind_(ValueKind::kNull) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Rep(v)); }
-  static Value Int(int64_t v) { return Value(Rep(v)); }
-  static Value Double(double v) { return Value(Rep(v)); }
-  static Value String(std::string v) { return Value(Rep(std::move(v))); }
+  static Value Bool(bool v) {
+    Value out;
+    out.kind_ = ValueKind::kBool;
+    out.b_ = v;
+    return out;
+  }
+  static Value Int(int64_t v) {
+    Value out;
+    out.kind_ = ValueKind::kInt;
+    out.i_ = v;
+    return out;
+  }
+  static Value Double(double v) {
+    Value out;
+    out.kind_ = ValueKind::kDouble;
+    out.d_ = v;
+    return out;
+  }
+  static Value String(std::string v) {
+    Value out;
+    out.kind_ = ValueKind::kString;
+    new (&out.s_) std::string(std::move(v));
+    return out;
+  }
 
-  ValueKind kind() const { return static_cast<ValueKind>(rep_.index()); }
+  Value(const Value& other) : kind_(other.kind_) {
+    if (kind_ == ValueKind::kString) {
+      new (&s_) std::string(other.s_);
+    } else {
+      CopyScalar(other);
+    }
+  }
+  Value(Value&& other) noexcept : kind_(other.kind_) {
+    if (kind_ == ValueKind::kString) {
+      new (&s_) std::string(std::move(other.s_));
+    } else {
+      CopyScalar(other);
+    }
+  }
+  Value& operator=(const Value& other) {
+    if (this == &other) return *this;
+    if (kind_ == ValueKind::kString && other.kind_ == ValueKind::kString) {
+      s_ = other.s_;
+      return *this;
+    }
+    Reset();
+    kind_ = other.kind_;
+    if (kind_ == ValueKind::kString) {
+      new (&s_) std::string(other.s_);
+    } else {
+      CopyScalar(other);
+    }
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this == &other) return *this;
+    if (kind_ == ValueKind::kString && other.kind_ == ValueKind::kString) {
+      s_ = std::move(other.s_);
+      return *this;
+    }
+    Reset();
+    kind_ = other.kind_;
+    if (kind_ == ValueKind::kString) {
+      new (&s_) std::string(std::move(other.s_));
+    } else {
+      CopyScalar(other);
+    }
+    return *this;
+  }
+  ~Value() { Reset(); }
+
+  ValueKind kind() const { return kind_; }
   bool is_null() const { return kind() == ValueKind::kNull; }
 
-  bool bool_value() const { return std::get<bool>(rep_); }
-  int64_t int_value() const { return std::get<int64_t>(rep_); }
-  double double_value() const { return std::get<double>(rep_); }
-  const std::string& string_value() const { return std::get<std::string>(rep_); }
+  // Each accessor requires the matching kind().
+  bool bool_value() const { return b_; }
+  int64_t int_value() const { return i_; }
+  double double_value() const { return d_; }
+  const std::string& string_value() const { return s_; }
 
   /// True if the kind is kInt or kDouble.
   bool is_numeric() const {
@@ -106,11 +181,30 @@ class Value {
   }
 
  private:
-  using Rep = std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  // Copies the eight payload bytes of a non-string value.
+  void CopyScalar(const Value& other) {
+    std::memcpy(&bits_, &other.bits_, sizeof(bits_));
+  }
+  // Ends the string member's lifetime, if it is the live one.
+  void Reset() {
+    if (kind_ == ValueKind::kString) s_.~basic_string();
+  }
 
-  Rep rep_;
+  union {
+    uint64_t bits_;  ///< the payload bytes of bool/int/double values
+    bool b_;
+    int64_t i_;
+    double d_;
+    std::string s_;
+  };
+  ValueKind kind_;
 };
+
+static_assert(sizeof(Value) ==
+                  sizeof(std::variant<std::monostate, bool, int64_t, double,
+                                      std::string>),
+              "Value must occupy what a variant of its kinds would: "
+              "MemoryBytes charges sizeof(Value)");
 
 }  // namespace starmagic
 
