@@ -12,11 +12,15 @@ Usage:
   bench_report.py --validate FILE [FILE ...]
       Schema-check each file; exit 1 on the first malformed one.
 
-  bench_report.py --diff DIR_A DIR_B [--threshold PCT]
+  bench_report.py --diff DIR_A DIR_B [--threshold PCT] [--exact]
       Compare the BENCH_*.json sets of two result directories keyed by
       (bench, workload, strategy). `total_work` is deterministic, so any
       increase beyond --threshold percent (default 0) is a regression and
       the exit code is 1. Wall times are machine-noisy and only reported.
+      With --exact (the check against the checked-in bench/baseline/),
+      every difference fails: work moving in either direction, rows, and
+      samples present on one side only. A deliberate change regenerates
+      the baseline in the same change.
 
   bench_report.py --summary DIR
       Consolidate DIR's per-bench files into DIR/BENCH_summary.json:
@@ -266,7 +270,7 @@ def load_dir(directory):
     return samples, meta
 
 
-def diff(dir_a, dir_b, threshold_pct):
+def diff(dir_a, dir_b, threshold_pct, exact=False):
     a, meta_a = load_dir(dir_a)
     b, meta_b = load_dir(dir_b)
 
@@ -292,20 +296,27 @@ def diff(dir_a, dir_b, threshold_pct):
             pct = 100.0 * (work_b - work_a) / work_a if work_a else float("inf")
             regressions.append((key, work_a, work_b, f"+{pct:.1f}% work"))
         elif work_b < work_a:
-            improvements += 1
+            if exact:
+                regressions.append((key, work_a, work_b, "work fell"))
+            else:
+                improvements += 1
         else:
             unchanged += 1
 
     only_a = sorted(set(a) - set(b))
     only_b = sorted(set(b) - set(a))
-    for key in only_a:
-        print(f"note: {'/'.join(key)} only in {dir_a}")
-    for key in only_b:
-        print(f"note: {'/'.join(key)} only in {dir_b}")
+    for key, where in ([(k, dir_a) for k in only_a] +
+                       [(k, dir_b) for k in only_b]):
+        print(f"note: {'/'.join(key)} only in {where}")
+        if exact:
+            regressions.append((key, a.get(key, {}).get("total_work"),
+                                b.get(key, {}).get("total_work"),
+                                f"only in {where}"))
 
+    mode = "exact" if exact else f"threshold {threshold_pct}%"
     print(f"\ncompared {len(set(a) & set(b))} samples: "
           f"{unchanged} unchanged, {improvements} improved, "
-          f"{len(regressions)} regressed (threshold {threshold_pct}%)")
+          f"{len(regressions)} regressed ({mode})")
     for key, work_a, work_b, why in regressions:
         print(f"REGRESSION {'/'.join(key)}: {work_a} -> {work_b} ({why})")
     return 1 if regressions else 0
@@ -320,6 +331,9 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.0,
                         help="allowed total_work increase in percent "
                              "(default 0: counters are deterministic)")
+    parser.add_argument("--exact", action="store_true",
+                        help="with --diff: fail on any work or row change "
+                             "in either direction and on unmatched samples")
     parser.add_argument("--summary", metavar="DIR",
                         help="write and validate DIR/BENCH_summary.json")
     args = parser.parse_args()
@@ -334,7 +348,7 @@ def main():
         return 0 if ok else 1
     if args.summary:
         return summarize(args.summary)
-    return diff(args.diff[0], args.diff[1], args.threshold)
+    return diff(args.diff[0], args.diff[1], args.threshold, args.exact)
 
 
 if __name__ == "__main__":

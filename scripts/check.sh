@@ -81,6 +81,14 @@ echo "== bench report: determinism diff (run A vs run B) =="
 python3 "${ROOT}/scripts/bench_report.py" \
   --diff "${SMOKE_DIR}/run_a" "${SMOKE_DIR}/run_b"
 
+# Trajectory: the smoke battery's work counters and row counts against the
+# checked-in baseline. Any change in either direction fails, so a change
+# that moves work on purpose regenerates bench/baseline/ in the same
+# commit (see bench/baseline/README.md).
+echo "== bench report: work-counter baseline (bench/baseline vs run A) =="
+python3 "${ROOT}/scripts/bench_report.py" --exact \
+  --diff "${ROOT}/bench/baseline" "${SMOKE_DIR}/run_a"
+
 for trace in TRACE_*.json; do
   python3 - "${trace}" <<'PY'
 import json, sys
