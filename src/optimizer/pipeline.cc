@@ -241,7 +241,7 @@ Result<PipelineResult> OptimizeQuery(std::unique_ptr<QueryGraph> graph,
       SpanScope span(tracer, StrCat("phase2-emst", tag), "optimizer");
       RewriteEngine engine;
       engine.set_tracer(tracer);
-      engine.AddRule(std::make_unique<EmstRule>(options.emst));
+      engine.AddRule(std::make_unique<EmstRule>(options.emst, no_emst.get()));
       AddCommonRules(&engine, options.toggles);
       SM_ASSIGN_OR_RETURN(RewriteRunStats run, engine.Run(&phase_ctx));
       RecordRun(&result, options, StrCat("phase2", tag), run);
