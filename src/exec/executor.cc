@@ -209,7 +209,19 @@ Result<Table> Executor::Run() {
   RowEnv env(num_slots_);
   Table scratch;
   SM_ASSIGN_OR_RETURN(const Table* result, EvalBox(top, env, &scratch));
-  std::vector<Row> rows = result->rows();
+  // The scratch table and the box cache die with this executor, so their
+  // rows are moved out (the cache entry goes too, so a later lookup
+  // recomputes instead of finding it empty); a stored table is copied.
+  std::vector<Row> rows;
+  auto cached = cache_.find(top->id());
+  if (result == &scratch) {
+    rows = std::move(scratch.mutable_rows());
+  } else if (cached != cache_.end() && result == &cached->second) {
+    rows = std::move(cached->second.mutable_rows());
+    cache_.erase(cached);
+  } else {
+    rows = result->rows();
+  }
   if (!graph_->order_by.empty()) {
     std::stable_sort(rows.begin(), rows.end(),
                      [this](const Row& a, const Row& b) {
