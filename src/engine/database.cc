@@ -299,8 +299,10 @@ auto Database::WithSysSnapshot(const QueryOptions& options, Fn&& fn) {
 Result<PipelineResult> Database::Explain(const std::string& sql,
                                          const QueryOptions& options) {
   SM_ASSIGN_OR_RETURN(std::unique_ptr<AstBlob> blob, ParseQuery(sql));
-  // The returned graph's sys base tables are gone once this returns, so
-  // callers executing the graph themselves must not reference sys tables.
+  // Callers inspect the returned graph (box counts, phase snapshots); to
+  // run a query, and time, govern and log the run, they call Query(). The
+  // graph's sys base tables are gone once this returns, so the few tests
+  // that still execute it must not reference sys tables.
   return WithSysSnapshot(options,
                          [&] { return OptimizeBlob(*blob, options); });
 }
@@ -445,7 +447,11 @@ Status Database::Execute(QueryGraph* graph, const QueryOptions& options,
   // Not SM_ASSIGN_OR_RETURN: the record keeps the governor stats of a
   // failing run too — aborted queries are exactly the ones the governor
   // dashboards exist for.
+  auto start = std::chrono::steady_clock::now();
   Result<Table> run = executor.Run();
+  record->exec_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
   RecordParallelMetrics(options.metrics, executor.parallel_stats());
   record->executed = true;
   record->governor = governor.Stats();
@@ -737,18 +743,16 @@ Result<QueryResult> Database::Query(const std::string& sql,
   Status status = WithSysSnapshot(options, [&] {
     return QueryInternal(sql, effective, progress_scope.tracker(), &record);
   });
-  if (!options.internal) {
-    auto end = std::chrono::steady_clock::now();
-    RecordQuery(sql, effective, status, record,
-                std::chrono::duration<double, std::milli>(end - start).count());
-  }
+  record.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  if (!options.internal) RecordQuery(sql, effective, status, record);
   if (!status.ok()) return status;
   return record;
 }
 
 void Database::RecordQuery(const std::string& sql, const QueryOptions& options,
-                           const Status& status, const QueryResult& record,
-                           double wall_ms) {
+                           const Status& status, const QueryResult& record) {
   if (MetricsRegistry* metrics = options.metrics;
       metrics != nullptr && record.executed) {
     // Governor outcome for every execution, aborted ones included; the
@@ -792,7 +796,7 @@ void Database::RecordQuery(const std::string& sql, const QueryOptions& options,
   if (!status.ok()) entry.status = status.ToString();
   entry.total_work = record.exec_stats.TotalWork();
   entry.rows = record.result_rows;
-  entry.wall_ms = wall_ms;
+  entry.wall_ms = record.wall_ms;
   entry.peak_memory_bytes = record.governor.peak_bytes;
   {
     // obs_mu_ orders these writes against SnapshotSysTable fills from the

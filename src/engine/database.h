@@ -107,6 +107,13 @@ struct QueryResult : PlanChoice {
   /// even when execution failed.
   GovernorStats governor;
   bool executed = false;  ///< the plan ran (to completion or to an abort)
+  /// Milliseconds from Query() entry to the record being written: parse,
+  /// compile, execution and the EXPLAIN report. The query log's wall_ms.
+  double wall_ms = 0;
+  /// Milliseconds spent in Executor::Run alone — the region the paper's
+  /// Table 1 times. 0 when nothing executed (EXPLAIN, PREPARE,
+  /// DEALLOCATE, or a failure before execution).
+  double exec_ms = 0;
   /// True when the plan came from the plan cache (the compile pipeline was
   /// skipped). PREPARE counts as a lookup too, so re-preparing a body that
   /// is already cached is a hit. Always false for DEALLOCATE.
@@ -143,7 +150,8 @@ class Database {
                             const QueryOptions& options = QueryOptions());
 
   /// Optimizes without executing; returns the pipeline diagnostics plus the
-  /// final graph (for tests and the Figure 4 bench).
+  /// final graph, for callers that inspect its shape (tests, the Figure 1/4
+  /// and ablation benches). Execution goes through Query().
   Result<PipelineResult> Explain(const std::string& sql,
                                  const QueryOptions& options = QueryOptions());
 
@@ -277,8 +285,7 @@ class Database {
   /// record in the query log, the rewrite totals, sys.box_stats and the
   /// exec.* / governor.* metrics of `options`.
   void RecordQuery(const std::string& sql, const QueryOptions& options,
-                   const Status& status, const QueryResult& record,
-                   double wall_ms);
+                   const Status& status, const QueryResult& record);
 
   /// The engine state a sys.* snapshot for this query may read. `options`
   /// feeds sys.settings (lazily) and sys.governor's budget_* rows.

@@ -686,6 +686,39 @@ TEST_F(ObsQueryTest, QueryLogRecordsFailuresAndPlainSelects) {
   EXPECT_NE(dump.find("Planning"), std::string::npos);
 }
 
+// QueryResult::exec_ms times Executor::Run alone and wall_ms the whole
+// Query() call, so a statement that executes has 0 < exec_ms <= wall_ms
+// and one that does not has exec_ms == 0. The query log's wall_ms is read
+// from the same record.
+TEST_F(ObsQueryTest, ExecAndWallTimesBracketExecution) {
+  Database db;
+  Populate(&db);
+  const QueryOptions options(ExecutionStrategy::kMagic);
+  auto run = [&](const std::string& sql) {
+    auto result = db.Query(sql, options);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    if (!result.ok()) return QueryResult();
+    EXPECT_EQ(db.query_log()->Latest()->wall_ms, result->wall_ms) << sql;
+    EXPECT_GT(result->wall_ms, 0) << sql;
+    return std::move(*result);
+  };
+  const std::string executing[] = {
+      query_,
+      "EXPLAIN ANALYZE " + query_,
+  };
+  for (const std::string& sql : executing) {
+    QueryResult r = run(sql);
+    EXPECT_GT(r.exec_ms, 0) << sql;
+    EXPECT_LE(r.exec_ms, r.wall_ms) << sql;
+  }
+  EXPECT_EQ(run("EXPLAIN " + query_).exec_ms, 0);
+  EXPECT_EQ(run("PREPARE planning AS " + query_).exec_ms, 0);
+  QueryResult executed = run("EXECUTE planning");
+  EXPECT_GT(executed.exec_ms, 0);
+  EXPECT_LE(executed.exec_ms, executed.wall_ms);
+  EXPECT_EQ(run("DEALLOCATE planning").exec_ms, 0);
+}
+
 TEST_F(ObsQueryTest, DecisionAuditCountersAreDeterministic) {
   std::string dumps[2];
   for (int run = 0; run < 2; ++run) {
