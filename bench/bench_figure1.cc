@@ -8,7 +8,6 @@
 //   * execution wall time and deterministic work counters,
 //   * the Original/EMST ratio.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_json.h"
@@ -70,41 +69,21 @@ int Run() {
   for (ExecutionStrategy strategy :
        {ExecutionStrategy::kOriginal, ExecutionStrategy::kCorrelated,
         ExecutionStrategy::kMagic}) {
-    QueryOptions qopts(strategy);
-    qopts.tracer = obs.tracer();
-    auto pipeline = db.Explain(query_d, qopts);
-    if (!pipeline.ok()) {
-      std::fprintf(stderr, "%s\n", pipeline.status().ToString().c_str());
+    QueryOptions options = obs.Options(strategy);
+    auto shape = db.Explain(query_d, options);  // box counts only
+    auto m = MeasureQuery(&db, query_d, options, 3);
+    if (!shape.ok() || !m.ok()) {
+      std::fprintf(stderr, "%s %s\n", shape.status().ToString().c_str(),
+                   m.status().ToString().c_str());
       return 1;
     }
-    ExecOptions exec_options;
-    exec_options.memoize_correlation =
-        strategy != ExecutionStrategy::kCorrelated;
-    exec_options.tracer = obs.tracer();
-    double best_ms = 0;
-    int64_t work = 0;
-    int64_t rows = 0;
-    for (int i = 0; i < 3; ++i) {
-      Executor executor(pipeline->graph.get(), db.catalog(), exec_options);
-      auto start = std::chrono::steady_clock::now();
-      auto result = executor.Run();
-      auto end = std::chrono::steady_clock::now();
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        return 1;
-      }
-      double ms =
-          std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-              .count() /
-          1000.0;
-      if (i == 0 || ms < best_ms) best_ms = ms;
-      work = executor.stats().TotalWork();
-      rows = result->num_rows();
-    }
+    const double best_ms = m->exec_ms;
+    const int64_t work = m->work();
+    const int64_t rows = m->rows();
     std::printf("%-11s %8d %12.3f %12lld %10lld %s\n", StrategyName(strategy),
-                pipeline->graph->NumBoxes(), best_ms,
+                shape->graph->NumBoxes(), best_ms,
                 static_cast<long long>(work), static_cast<long long>(rows),
-                GraphComplexity(*pipeline->graph).c_str());
+                GraphComplexity(*shape->graph).c_str());
     report.Add({"queryD", StrategyName(strategy), work, best_ms, rows});
     if (strategy == ExecutionStrategy::kOriginal) {
       original_ms = best_ms;

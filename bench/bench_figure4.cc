@@ -10,7 +10,6 @@
 //     graph has exactly one extra box and one extra join relative to
 //     phase 1, as the paper states in the introduction.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -51,10 +50,9 @@ int Run() {
       "FROM department d, avgMgrSal s "
       "WHERE d.deptno = s.workdept AND d.deptname = 'Planning'";
 
-  QueryOptions options(ExecutionStrategy::kMagic);
+  QueryOptions options = obs.Options();
   options.pipeline.capture_snapshots = true;
   options.pipeline.cost_compare = false;  // always show the transformed graph
-  options.tracer = obs.tracer();
   auto r = db.Explain(query_d, options);
   if (!r.ok()) {
     std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
@@ -98,22 +96,14 @@ int Run() {
     expect(CountSubstring(*phase3, "supplementary-magic") == 1,
            "phase 3 kept the shared supplementary box (one extra box)");
   }
-  // Execute the final (phase-3) graph once so this bench also contributes
-  // a work-counter sample to the regression harness.
+  // Run the query once under the same options, so this bench also
+  // contributes a work-counter sample to the regression harness.
   {
     BenchJson report("figure4", config.num_employees);
-    ExecOptions exec_options;
-    exec_options.tracer = obs.tracer();
-    Executor executor(r->graph.get(), db.catalog(), exec_options);
-    auto start = std::chrono::steady_clock::now();
-    auto table = executor.Run();
-    auto end = std::chrono::steady_clock::now();
-    expect(table.ok(), "final transformed graph executes");
-    if (table.ok()) {
-      double ms =
-          std::chrono::duration<double, std::milli>(end - start).count();
-      report.Add({"queryD", "EMST", executor.stats().TotalWork(), ms,
-                  table->num_rows()});
+    auto m = MeasureQuery(&db, query_d, options);
+    expect(m.ok() && m->last.emst_chosen, "the transformed query executes");
+    if (m.ok()) {
+      report.Add({"queryD", "EMST", m->work(), m->exec_ms, m->rows()});
     }
   }
 

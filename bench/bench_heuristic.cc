@@ -8,7 +8,6 @@
 // never does more work than the no-EMST plan (within a small tolerance for
 // tie-breaking).
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -19,28 +18,6 @@
 
 namespace starmagic::bench {
 namespace {
-
-struct Measured {
-  int64_t work = 0;
-  double ms = 0;
-  int64_t rows = 0;
-  bool emst_chosen = false;
-};
-
-Result<Measured> MeasureQuery(Database* db, const std::string& sql,
-                              ExecutionStrategy strategy, Tracer* tracer) {
-  QueryOptions options(strategy);
-  options.tracer = tracer;
-  auto start = std::chrono::steady_clock::now();
-  SM_ASSIGN_OR_RETURN(QueryResult r, db->Query(sql, options));
-  auto end = std::chrono::steady_clock::now();
-  Measured m;
-  m.work = r.exec_stats.TotalWork();
-  m.ms = std::chrono::duration<double, std::milli>(end - start).count();
-  m.rows = r.table.num_rows();
-  m.emst_chosen = r.emst_chosen;
-  return m;
-}
 
 int Run() {
   BenchObs obs("heuristic");
@@ -90,10 +67,10 @@ int Run() {
   BenchJson report("heuristic", config.num_employees);
   int failures = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto baseline = MeasureQuery(&db, queries[i], ExecutionStrategy::kOriginal,
-                                 obs.tracer());
-    auto chosen = MeasureQuery(&db, queries[i], ExecutionStrategy::kMagic,
-                               obs.tracer());
+    auto baseline = MeasureQuery(&db, queries[i],
+                                 obs.Options(ExecutionStrategy::kOriginal));
+    auto chosen =
+        MeasureQuery(&db, queries[i], obs.Options(ExecutionStrategy::kMagic));
     if (!baseline.ok() || !chosen.ok()) {
       std::fprintf(stderr, "Q%zu failed: %s %s\n", i,
                    baseline.status().ToString().c_str(),
@@ -102,18 +79,20 @@ int Run() {
       continue;
     }
     std::string workload = StrCat("Q", i);
-    report.Add({workload, "no-emst", baseline->work, baseline->ms,
-                baseline->rows});
-    report.Add({workload, "chosen", chosen->work, chosen->ms, chosen->rows});
+    report.Add({workload, "no-emst", baseline->work(), baseline->wall_ms,
+                baseline->rows()});
+    report.Add(
+        {workload, "chosen", chosen->work(), chosen->wall_ms, chosen->rows()});
     // Tolerance: magic tables add a few probes even when they help overall;
     // "cannot degrade" is about the plan-cost decision, which we verify by
     // measured work with 10% + constant slack.
-    bool ok = chosen->work <= baseline->work + baseline->work / 10 + 64;
+    const int64_t base_work = baseline->work();
+    bool ok = chosen->work() <= base_work + base_work / 10 + 64;
     if (!ok) ++failures;
     std::printf("%-3zu %14lld %14lld %9s %s\n", i,
-                static_cast<long long>(baseline->work),
-                static_cast<long long>(chosen->work),
-                chosen->emst_chosen ? "EMST" : "no-EMST",
+                static_cast<long long>(base_work),
+                static_cast<long long>(chosen->work()),
+                chosen->last.emst_chosen ? "EMST" : "no-EMST",
                 ok ? "ok" : "DEGRADED");
   }
   std::printf("\n%s\n", failures == 0 ? "PROPERTY HOLDS" : "PROPERTY VIOLATED");

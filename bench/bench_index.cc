@@ -18,28 +18,34 @@
 namespace starmagic::bench {
 namespace {
 
-using Sample = BenchSample;
+struct Mode {
+  const char* name;
+  ExecutionStrategy strategy;
+  bool use_indexes;
+};
 
-Result<Sample> Measure(Database* db, const std::string& sql,
-                       ExecutionStrategy strategy, bool use_indexes,
-                       int repetitions, Tracer* tracer) {
-  QueryOptions options(strategy);
-  options.tracer = tracer;
+// Best of three runs of `sql` under `mode`.
+Result<BenchSample> MeasureMode(Database* db, const std::string& sql,
+                                const Mode& mode, BenchObs* obs) {
+  QueryOptions options = obs->Options(mode.strategy);
+  if (mode.use_indexes) {
+    SM_ASSIGN_OR_RETURN(Measured m, MeasureQuery(db, sql, options, 3));
+    return BenchSample{"", mode.name, m.work(), m.exec_ms, m.rows()};
+  }
+  // The forced-scan side keeps its own Executor: use_secondary_indexes is a
+  // reference switch that QueryOptions deliberately does not expose.
   SM_ASSIGN_OR_RETURN(PipelineResult pipeline, db->Explain(sql, options));
   ExecOptions exec_options;
-  exec_options.memoize_correlation = strategy != ExecutionStrategy::kCorrelated;
-  exec_options.use_secondary_indexes = use_indexes;
-  exec_options.tracer = tracer;
-  Sample sample;
-  for (int i = 0; i < repetitions; ++i) {
+  exec_options.use_secondary_indexes = false;
+  exec_options.tracer = options.tracer;
+  BenchSample sample{"", mode.name};
+  for (int i = 0; i < 3; ++i) {
     Executor executor(pipeline.graph.get(), db->catalog(), exec_options);
     auto start = std::chrono::steady_clock::now();
     SM_ASSIGN_OR_RETURN(Table table, executor.Run());
-    auto end = std::chrono::steady_clock::now();
-    double ms =
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-            .count() /
-        1000.0;
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
     if (i == 0 || ms < sample.wall_ms) sample.wall_ms = ms;
     sample.total_work = executor.stats().TotalWork();
     sample.rows = table.num_rows();
@@ -97,11 +103,6 @@ int Run() {
        "WHERE a.dept <= d.deptno AND d.deptname = 'Planning'"},
   };
 
-  struct Mode {
-    const char* name;
-    ExecutionStrategy strategy;
-    bool use_indexes;
-  };
   const Mode modes[] = {
       {"emst+index", ExecutionStrategy::kMagic, true},
       {"emst+scan", ExecutionStrategy::kMagic, false},
@@ -113,15 +114,13 @@ int Run() {
   for (const Workload& w : workloads) {
     int64_t base_rows = -1;
     for (const Mode& m : modes) {
-      auto sample = Measure(&db, w.sql, m.strategy, m.use_indexes, 3,
-                            obs.tracer());
+      Result<BenchSample> sample = MeasureMode(&db, w.sql, m, &obs);
       if (!sample.ok()) {
         std::fprintf(stderr, "%s/%s failed: %s\n", w.name, m.name,
                      sample.status().ToString().c_str());
         return 1;
       }
       sample->workload = w.name;
-      sample->strategy = m.name;
       std::printf("%-34s %-12s %14lld %12.3f %8lld\n", w.name, m.name,
                   static_cast<long long>(sample->total_work), sample->wall_ms,
                   static_cast<long long>(sample->rows));

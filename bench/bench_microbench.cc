@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "bench_json.h"
 #include "qgm/builder.h"
 #include "sql/parser.h"
@@ -70,69 +68,47 @@ BENCHMARK(BM_OptimizePipeline)
     ->Arg(static_cast<int>(ExecutionStrategy::kOriginal))
     ->Arg(static_cast<int>(ExecutionStrategy::kMagic));
 
+// Compile and execute through Query(), timing execution only (manual time
+// from QueryResult::exec_ms), as Table 1 does.
 void BM_ExecuteQueryD(benchmark::State& state) {
   Database* db = SharedDb();
-  ExecutionStrategy strategy = static_cast<ExecutionStrategy>(state.range(0));
-  auto pipeline = db->Explain(kQueryD, QueryOptions(strategy));
-  if (!pipeline.ok()) {
-    state.SkipWithError(pipeline.status().ToString().c_str());
-    return;
-  }
-  ExecOptions exec_options;
-  exec_options.memoize_correlation = strategy != ExecutionStrategy::kCorrelated;
+  QueryOptions options(static_cast<ExecutionStrategy>(state.range(0)));
   for (auto _ : state) {
-    Executor executor(pipeline->graph.get(), db->catalog(), exec_options);
-    auto r = executor.Run();
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    benchmark::DoNotOptimize(r);
+    auto m = MeasureQuery(db, kQueryD, options);
+    if (!m.ok()) {
+      state.SkipWithError(m.status().ToString().c_str());
+      break;
+    }
+    state.SetIterationTime(m->exec_ms / 1000.0);
   }
 }
 BENCHMARK(BM_ExecuteQueryD)
+    ->UseManualTime()
     ->Arg(static_cast<int>(ExecutionStrategy::kOriginal))
     ->Arg(static_cast<int>(ExecutionStrategy::kCorrelated))
     ->Arg(static_cast<int>(ExecutionStrategy::kMagic));
 
-// One traced optimize+execute pass of query D. Benchmark iterations run
-// untraced — google-benchmark repeats until timings stabilize, and a span
-// per iteration would make the trace unbounded.
+// One traced run of query D. Benchmark iterations run untraced —
+// google-benchmark repeats until timings stabilize, and a span per
+// iteration would make the trace unbounded.
 void TracedWarmup() {
   BenchObs obs("microbench");
   if (obs.tracer() == nullptr) return;
-  Database* db = SharedDb();
-  QueryOptions options(ExecutionStrategy::kMagic);
-  options.tracer = obs.tracer();
-  auto pipeline = db->Explain(kQueryD, options);
-  if (!pipeline.ok()) return;
-  ExecOptions exec_options;
-  exec_options.tracer = obs.tracer();
-  Executor executor(pipeline->graph.get(), db->catalog(), exec_options);
-  auto r = executor.Run();
-  (void)r;
+  (void)MeasureQuery(SharedDb(), kQueryD, obs.Options());
 }
 
-// One deterministic optimize+execute pass of query D per strategy for the
-// regression harness (BENCH_microbench.json). Separate from the benchmark
-// iterations, whose timings are machine-noisy by design.
+// One deterministic run of query D per strategy for the regression
+// harness (BENCH_microbench.json). Separate from the benchmark iterations,
+// whose timings are machine-noisy by design.
 void EmitBenchJson() {
   BenchJson report("microbench", BenchObs::Smoke() ? 500 : 10000);
-  Database* db = SharedDb();
   for (ExecutionStrategy strategy :
        {ExecutionStrategy::kOriginal, ExecutionStrategy::kCorrelated,
         ExecutionStrategy::kMagic}) {
-    auto pipeline = db->Explain(kQueryD, QueryOptions(strategy));
-    if (!pipeline.ok()) continue;
-    ExecOptions exec_options;
-    exec_options.memoize_correlation =
-        strategy != ExecutionStrategy::kCorrelated;
-    Executor executor(pipeline->graph.get(), db->catalog(), exec_options);
-    auto start = std::chrono::steady_clock::now();
-    auto r = executor.Run();
-    auto end = std::chrono::steady_clock::now();
-    if (!r.ok()) continue;
-    report.Add({"queryD", StrategyName(strategy),
-                executor.stats().TotalWork(),
-                std::chrono::duration<double, std::milli>(end - start).count(),
-                r->num_rows()});
+    auto m = MeasureQuery(SharedDb(), kQueryD, QueryOptions(strategy));
+    if (!m.ok()) continue;
+    report.Add({"queryD", StrategyName(strategy), m->work(), m->exec_ms,
+                m->rows()});
   }
 }
 

@@ -12,7 +12,6 @@
 //
 // STARMAGIC_THREADS=n overrides the thread ladder to {1, n}.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -25,34 +24,6 @@
 
 namespace starmagic::bench {
 namespace {
-
-struct Measured {
-  double ms = 0;
-  int64_t work = 0;
-  int64_t rows = 0;
-  ParallelStats parallel;
-};
-
-Result<Measured> MeasureAtThreads(Database* db, const std::string& sql,
-                                  const QueryOptions& qopts, int threads,
-                                  Tracer* tracer) {
-  SM_ASSIGN_OR_RETURN(PipelineResult p, db->Explain(sql, qopts));
-  ExecOptions exec_options;
-  exec_options.tracer = tracer;
-  exec_options.num_threads = threads;
-  Executor executor(p.graph.get(), db->catalog(), exec_options);
-  auto start = std::chrono::steady_clock::now();
-  SM_ASSIGN_OR_RETURN(Table t, executor.Run());
-  auto end = std::chrono::steady_clock::now();
-  Measured m;
-  m.ms = std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-             .count() /
-         1000.0;
-  m.work = executor.stats().TotalWork();
-  m.rows = t.num_rows();
-  m.parallel = executor.parallel_stats();
-  return m;
-}
 
 std::vector<int> ThreadLadder() {
   if (const char* env = std::getenv("STARMAGIC_THREADS");
@@ -146,46 +117,49 @@ int Run() {
     int64_t baseline_work = 0;
     int64_t baseline_rows = 0;
     for (int threads : ladder) {
-      auto m = MeasureAtThreads(&db, w.sql, w.options, threads, obs.tracer());
+      // The morsel count comes from the query's parallel.* metrics.
+      MetricsRegistry metrics;
+      QueryOptions options = w.options;
+      options.num_threads = threads;
+      options.tracer = obs.tracer();
+      options.metrics = &metrics;
+      auto m = MeasureQuery(&db, w.sql, options);
       if (!m.ok()) {
         std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
                      m.status().ToString().c_str());
         return 1;
       }
+      const int64_t work = m->work();
+      const int64_t rows = m->rows();
       if (threads == 1) {
-        baseline_ms = m->ms;
-        baseline_work = m->work;
-        baseline_rows = m->rows;
-      } else if (m->work != baseline_work || m->rows != baseline_rows) {
+        baseline_ms = m->exec_ms;
+        baseline_work = work;
+        baseline_rows = rows;
+      } else if (work != baseline_work || rows != baseline_rows) {
         // Work counters shifting with the thread count is a correctness
         // bug, never noise — fail at every scale.
         std::fprintf(stderr,
                      "FAIL %s at %d threads: work %lld vs %lld, rows %lld "
                      "vs %lld (sequential)\n",
-                     w.name.c_str(), threads,
-                     static_cast<long long>(m->work),
+                     w.name.c_str(), threads, static_cast<long long>(work),
                      static_cast<long long>(baseline_work),
-                     static_cast<long long>(m->rows),
+                     static_cast<long long>(rows),
                      static_cast<long long>(baseline_rows));
         deterministic = false;
       }
-      double speedup = threads == 1 ? 1.0 : baseline_ms / m->ms;
+      double speedup = threads == 1 ? 1.0 : baseline_ms / m->exec_ms;
       std::printf("%-12s %-10d %10.2f %12lld %10lld %8lld %7.2fx\n",
-                  w.name.c_str(), threads, m->ms,
-                  static_cast<long long>(m->work),
-                  static_cast<long long>(m->rows),
-                  static_cast<long long>(m->parallel.morsels), speedup);
+                  w.name.c_str(), threads, m->exec_ms,
+                  static_cast<long long>(work), static_cast<long long>(rows),
+                  static_cast<long long>(
+                      metrics.CounterValue("parallel.morsels")),
+                  speedup);
       if (w.gate_speedup && threads == 4) {
         speedup_gated = true;
         if (speedup < 2.0) speedup_ok = false;
       }
-      BenchSample sample;
-      sample.workload = w.name;
-      sample.strategy = StrCat("threads=", threads);
-      sample.total_work = m->work;
-      sample.wall_ms = m->ms;
-      sample.rows = m->rows;
-      report.Add(std::move(sample));
+      report.Add({w.name, StrCat("threads=", threads), work, m->exec_ms,
+                  rows});
     }
     std::printf("\n");
   }

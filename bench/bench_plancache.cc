@@ -16,7 +16,6 @@
 // "plan_cache=cached" strategies per workload cell, which
 // scripts/bench_report.py cross-checks for identity again offline.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,36 +27,24 @@
 namespace starmagic::bench {
 namespace {
 
-struct Measured {
-  double ms = 0;
-  int64_t work = 0;
-  int64_t rows = 0;
-};
-
-/// One Query() call, wall-clocked end to end — for the cold side that
-/// includes the whole compile pipeline, for the cached side the lookup,
-/// clone, bind, and execution.
-Result<Measured> MeasureOnce(Database* db, const std::string& sql,
-                             const QueryOptions& options, bool expect_hit) {
-  auto start = std::chrono::steady_clock::now();
-  SM_ASSIGN_OR_RETURN(QueryResult r, db->Query(sql, options));
-  auto end = std::chrono::steady_clock::now();
-  if (expect_hit && !r.plan_cache_hit) {
-    return Status::Internal(StrCat("expected a plan-cache hit for: ", sql));
+// `runs` Query() calls of `sql`, wall-clocked end to end — for the cold
+// side that includes the whole compile pipeline, for the cached side the
+// lookup, clone, bind and execution — checking that every run hit the plan
+// cache (with no rule fired) exactly when `expect_hit`.
+Result<Measured> MeasureSide(Database* db, const std::string& sql,
+                             const QueryOptions& options, int runs,
+                             bool expect_hit) {
+  const int64_t hits_before = db->plan_cache()->stats().hits;
+  SM_ASSIGN_OR_RETURN(Measured m, MeasureQuery(db, sql, options, runs));
+  const int64_t hits = db->plan_cache()->stats().hits - hits_before;
+  if (hits != (expect_hit ? runs : 0)) {
+    return Status::Internal(StrCat(hits, " of ", runs,
+                                   " runs hit the plan cache for: ", sql));
   }
-  if (expect_hit && !r.rule_fires.empty()) {
+  if (expect_hit && !m.last.rule_fires.empty()) {
     return Status::Internal(
         StrCat("rule fires on the cached hot path for: ", sql));
   }
-  if (!expect_hit && r.plan_cache_hit) {
-    return Status::Internal(StrCat("unexpected plan-cache hit for: ", sql));
-  }
-  Measured m;
-  m.ms = std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-             .count() /
-         1000.0;
-  m.work = r.exec_stats.TotalWork();
-  m.rows = r.table.num_rows();
   return m;
 }
 
@@ -123,60 +110,43 @@ int Run() {
   for (const Workload& w : workloads) {
     // PREPARE once; the compile it performs warms the cache for every
     // thread count (the plan is thread-count independent).
-    QueryOptions prep_options(ExecutionStrategy::kMagic);
-    prep_options.tracer = obs.tracer();
-    if (auto r = db.Query(w.prepare, prep_options); !r.ok()) {
+    if (auto r = db.Query(w.prepare, obs.Options()); !r.ok()) {
       std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
                    r.status().ToString().c_str());
       return 1;
     }
     for (int threads : {1, 2, 8}) {
-      QueryOptions options(ExecutionStrategy::kMagic);
+      QueryOptions options = obs.Options();
       options.num_threads = threads;
-      options.tracer = obs.tracer();
-      Measured cold, cached;
-      for (int r = 0; r < reps; ++r) {
-        // Interleave cold/cached so machine-load drift spreads over both.
-        for (bool hit : {false, true}) {
-          auto m = MeasureOnce(&db, hit ? w.execute : w.cold_sql, options,
-                               hit);
-          if (!m.ok()) {
-            std::fprintf(stderr, "%s: %s\n", w.name.c_str(),
-                         m.status().ToString().c_str());
-            return 1;
-          }
-          Measured* best = hit ? &cached : &cold;
-          if (r == 0 || m->ms < best->ms) best->ms = m->ms;
-          best->work = m->work;
-          best->rows = m->rows;
-        }
+      auto cold = MeasureSide(&db, w.cold_sql, options, reps, false);
+      auto cached = MeasureSide(&db, w.execute, options, reps, true);
+      if (!cold.ok() || !cached.ok()) {
+        std::fprintf(stderr, "%s: %s %s\n", w.name.c_str(),
+                     cold.status().ToString().c_str(),
+                     cached.status().ToString().c_str());
+        return 1;
       }
-      if (cached.work != cold.work || cached.rows != cold.rows) {
+      if (cached->work() != cold->work() || cached->rows() != cold->rows()) {
         std::fprintf(stderr,
                      "FAIL %s at %d threads: cached work %lld vs %lld, "
                      "rows %lld vs %lld\n",
                      w.name.c_str(), threads,
-                     static_cast<long long>(cached.work),
-                     static_cast<long long>(cold.work),
-                     static_cast<long long>(cached.rows),
-                     static_cast<long long>(cold.rows));
+                     static_cast<long long>(cached->work()),
+                     static_cast<long long>(cold->work()),
+                     static_cast<long long>(cached->rows()),
+                     static_cast<long long>(cold->rows()));
         identical = false;
       }
-      if (threads == 1 && cached.ms >= cold.ms) savings_ok = false;
+      if (threads == 1 && cached->wall_ms >= cold->wall_ms) savings_ok = false;
       std::string cell = StrCat(w.name, "_t", threads);
       for (bool hit : {false, true}) {
-        const Measured& m = hit ? cached : cold;
+        const Measured& m = hit ? *cached : *cold;
+        const char* strategy = hit ? "plan_cache=cached" : "plan_cache=cold";
         std::printf("%-22s %-8d %-18s %10.3f %12lld %8lld\n", cell.c_str(),
-                    threads, hit ? "plan_cache=cached" : "plan_cache=cold",
-                    m.ms, static_cast<long long>(m.work),
-                    static_cast<long long>(m.rows));
-        BenchSample sample;
-        sample.workload = cell;
-        sample.strategy = hit ? "plan_cache=cached" : "plan_cache=cold";
-        sample.total_work = m.work;
-        sample.wall_ms = m.ms;
-        sample.rows = m.rows;
-        report.Add(std::move(sample));
+                    threads, strategy, m.wall_ms,
+                    static_cast<long long>(m.work()),
+                    static_cast<long long>(m.rows()));
+        report.Add({cell, strategy, m.work(), m.wall_ms, m.rows()});
       }
     }
     std::printf("\n");

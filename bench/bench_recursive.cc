@@ -5,7 +5,6 @@
 // Original evaluates the full closure; magic restricts the fixpoint to
 // tuples reachable from the bound source via a recursive magic table.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_json.h"
@@ -13,38 +12,6 @@
 
 namespace starmagic::bench {
 namespace {
-
-struct Measured {
-  double ms = 0;
-  int64_t work = 0;
-  int64_t rows = 0;
-  int64_t iters = 0;
-};
-
-Result<Measured> Measure(Database* db, const std::string& sql,
-                         ExecutionStrategy strategy, Tracer* tracer) {
-  QueryOptions options(strategy);
-  options.tracer = tracer;
-  SM_ASSIGN_OR_RETURN(PipelineResult p, db->Explain(sql, options));
-  Measured m;
-  ExecOptions exec_options;
-  exec_options.tracer = tracer;
-  for (int i = 0; i < 1; ++i) {
-    Executor executor(p.graph.get(), db->catalog(), exec_options);
-    auto start = std::chrono::steady_clock::now();
-    SM_ASSIGN_OR_RETURN(Table t, executor.Run());
-    auto end = std::chrono::steady_clock::now();
-    double ms =
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-            .count() /
-        1000.0;
-    if (i == 0 || ms < m.ms) m.ms = ms;
-    m.work = executor.stats().TotalWork();
-    m.rows = t.num_rows();
-    m.iters = executor.stats().fixpoint_iterations;
-  }
-  return m;
-}
 
 int Run() {
   BenchObs obs("recursive");
@@ -76,52 +43,53 @@ int Run() {
   Measured magic;
   for (ExecutionStrategy strategy :
        {ExecutionStrategy::kOriginal, ExecutionStrategy::kMagic}) {
-    auto m = Measure(&db, bound_query, strategy, obs.tracer());
+    auto m = MeasureQuery(&db, bound_query, obs.Options(strategy));
     if (!m.ok()) {
       std::fprintf(stderr, "%s: %s\n", StrategyName(strategy),
                    m.status().ToString().c_str());
       return 1;
     }
     std::printf("%-11s %10.2f %12lld %8lld %10lld\n", StrategyName(strategy),
-                m->ms, static_cast<long long>(m->work),
-                static_cast<long long>(m->rows),
-                static_cast<long long>(m->iters));
-    report.Add({"bound_source", StrategyName(strategy), m->work, m->ms,
-                m->rows});
-    if (strategy == ExecutionStrategy::kOriginal) original = *m;
-    if (strategy == ExecutionStrategy::kMagic) magic = *m;
+                m->exec_ms, static_cast<long long>(m->work()),
+                static_cast<long long>(m->rows()),
+                static_cast<long long>(m->last.exec_stats.fixpoint_iterations));
+    report.Add({"bound_source", StrategyName(strategy), m->work(), m->exec_ms,
+                m->rows()});
+    (strategy == ExecutionStrategy::kOriginal ? original : magic) =
+        std::move(*m);
   }
-  if (original.rows != magic.rows) {
+  if (original.rows() != magic.rows()) {
     std::printf("RESULTS DIVERGE (%lld vs %lld rows)\n",
-                static_cast<long long>(original.rows),
-                static_cast<long long>(magic.rows));
+                static_cast<long long>(original.rows()),
+                static_cast<long long>(magic.rows()));
     return 1;
   }
-  double ratio = magic.work > 0
-                     ? static_cast<double>(original.work) / magic.work
+  double ratio = magic.work() > 0
+                     ? static_cast<double>(original.work()) / magic.work()
                      : 0;
   std::printf("\nmagic restricts the fixpoint: %.1fx less work\n", ratio);
 
   std::printf("\nfull-closure query (magic cannot help; the §3.2 heuristic "
               "must not degrade it): %s\n", full_query);
-  auto full_orig =
-      Measure(&db, full_query, ExecutionStrategy::kOriginal, obs.tracer());
+  auto full_orig = MeasureQuery(&db, full_query,
+                                obs.Options(ExecutionStrategy::kOriginal));
   auto full_magic =
-      Measure(&db, full_query, ExecutionStrategy::kMagic, obs.tracer());
+      MeasureQuery(&db, full_query, obs.Options(ExecutionStrategy::kMagic));
   if (!full_orig.ok() || !full_magic.ok()) {
     std::fprintf(stderr, "%s %s\n", full_orig.status().ToString().c_str(),
                  full_magic.status().ToString().c_str());
     return 1;
   }
-  report.Add({"full_closure", "Original", full_orig->work, full_orig->ms,
-              full_orig->rows});
-  report.Add({"full_closure", "EMST", full_magic->work, full_magic->ms,
-              full_magic->rows});
+  report.Add({"full_closure", "Original", full_orig->work(),
+              full_orig->exec_ms, full_orig->rows()});
+  report.Add({"full_closure", "EMST", full_magic->work(), full_magic->exec_ms,
+              full_magic->rows()});
   std::printf("original work=%lld, magic-strategy work=%lld\n",
-              static_cast<long long>(full_orig->work),
-              static_cast<long long>(full_magic->work));
-  bool ok = ratio >= 2.0 &&
-            full_magic->work <= full_orig->work + full_orig->work / 10 + 64;
+              static_cast<long long>(full_orig->work()),
+              static_cast<long long>(full_magic->work()));
+  const int64_t full_work = full_orig->work();
+  bool ok =
+      ratio >= 2.0 && full_magic->work() <= full_work + full_work / 10 + 64;
   std::printf("%s\n", ok ? "CLAIMS REPRODUCED" : "CLAIMS NOT REPRODUCED");
   return obs.Verdict(ok);
 }

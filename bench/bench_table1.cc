@@ -12,7 +12,6 @@
 // correlation blows up — is the reproduced claim. Work counters (rows
 // scanned/produced/probed) are printed as machine-independent evidence.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,47 +30,6 @@ struct Experiment {
   double paper_correlated;
   double paper_emst;
 };
-
-struct Measurement {
-  double millis = 0;
-  int64_t work = 0;
-  bool emst_chosen = false;
-  Table table;
-};
-
-// Times *execution* (as Table 1 does); optimization happens once outside
-// the timed region.
-Result<Measurement> Measure(Database* db, const std::string& sql,
-                            ExecutionStrategy strategy, int repetitions,
-                            Tracer* tracer) {
-  Measurement best;
-  QueryOptions options(strategy);
-  options.tracer = tracer;
-  SM_ASSIGN_OR_RETURN(PipelineResult pipeline, db->Explain(sql, options));
-  best.emst_chosen = pipeline.emst_chosen;
-  ExecOptions exec_options;
-  exec_options.memoize_correlation = strategy != ExecutionStrategy::kCorrelated;
-  exec_options.tracer = tracer;
-  for (int i = 0; i < repetitions; ++i) {
-    // A fresh executor per run: no result caches survive. Catalog
-    // secondary indexes persist across runs, as in a real system, so the
-    // timed region measures query execution, not index (re)builds.
-    Executor executor(pipeline.graph.get(), db->catalog(), exec_options);
-    auto start = std::chrono::steady_clock::now();
-    SM_ASSIGN_OR_RETURN(Table table, executor.Run());
-    auto end = std::chrono::steady_clock::now();
-    double ms =
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-            .count() /
-        1000.0;
-    if (i == 0 || ms < best.millis) {
-      best.millis = ms;
-      best.work = executor.stats().TotalWork();
-      best.table = std::move(table);
-    }
-  }
-  return best;
-}
 
 int RunAll(int64_t scale) {
   BenchObs obs("table1");
@@ -149,12 +107,13 @@ int RunAll(int64_t scale) {
       "paper(Corr/EMST)", "work(O/C/E)", "emst-plan-chosen");
   bool all_equal = true;
   for (const Experiment& exp : experiments) {
-    auto orig =
-        Measure(&db, exp.sql, ExecutionStrategy::kOriginal, 3, obs.tracer());
-    auto corr =
-        Measure(&db, exp.sql, ExecutionStrategy::kCorrelated, 3, obs.tracer());
+    // Three runs per strategy; Table 1 times execution only (exec_ms).
+    auto orig = MeasureQuery(&db, exp.sql,
+                             obs.Options(ExecutionStrategy::kOriginal), 3);
+    auto corr = MeasureQuery(&db, exp.sql,
+                             obs.Options(ExecutionStrategy::kCorrelated), 3);
     auto emst =
-        Measure(&db, exp.sql, ExecutionStrategy::kMagic, 3, obs.tracer());
+        MeasureQuery(&db, exp.sql, obs.Options(ExecutionStrategy::kMagic), 3);
     if (!orig.ok() || !corr.ok() || !emst.ok()) {
       std::fprintf(stderr, "Exp %s failed: %s %s %s\n", exp.id,
                    orig.status().ToString().c_str(),
@@ -162,26 +121,25 @@ int RunAll(int64_t scale) {
                    emst.status().ToString().c_str());
       return 1;
     }
-    bool equal = Table::BagEquals(orig->table, corr->table) &&
-                 Table::BagEquals(orig->table, emst->table);
+    bool equal = Table::BagEquals(orig->last.table, corr->last.table) &&
+                 Table::BagEquals(orig->last.table, emst->last.table);
     all_equal = all_equal && equal;
-    report.Add({exp.id, "Original", orig->work, orig->millis,
-                orig->table.num_rows()});
-    report.Add({exp.id, "Correlated", corr->work, corr->millis,
-                corr->table.num_rows()});
-    report.Add({exp.id, "EMST", emst->work, emst->millis,
-                emst->table.num_rows()});
-    double base = orig->millis > 0 ? orig->millis : 1e-6;
+    report.Add({exp.id, "Original", orig->work(), orig->exec_ms, orig->rows()});
+    report.Add(
+        {exp.id, "Correlated", corr->work(), corr->exec_ms, corr->rows()});
+    report.Add({exp.id, "EMST", emst->work(), emst->exec_ms, emst->rows()});
+    double base = orig->exec_ms > 0 ? orig->exec_ms : 1e-6;
     std::printf(
         "%-4s %10.2f %10.2f %10.2f   %8.2f / %-9.2f  %lld/%lld/%lld  %s%s\n",
-        exp.id, 100.0, 100.0 * corr->millis / base,
-        100.0 * emst->millis / base, exp.paper_correlated, exp.paper_emst,
-        static_cast<long long>(orig->work), static_cast<long long>(corr->work),
-        static_cast<long long>(emst->work),
-        emst->emst_chosen ? "yes" : "NO",
+        exp.id, 100.0, 100.0 * corr->exec_ms / base,
+        100.0 * emst->exec_ms / base, exp.paper_correlated, exp.paper_emst,
+        static_cast<long long>(orig->work()),
+        static_cast<long long>(corr->work()),
+        static_cast<long long>(emst->work()),
+        emst->last.emst_chosen ? "yes" : "NO",
         equal ? "" : "  RESULTS-DIVERGE!");
     std::printf("     -- %s [%lld result rows]\n", exp.description,
-                static_cast<long long>(orig->table.num_rows()));
+                static_cast<long long>(orig->rows()));
   }
   std::printf("result equality across strategies: %s\n",
               all_equal ? "OK" : "FAILED");

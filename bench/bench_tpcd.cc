@@ -7,7 +7,6 @@
 // orders, lineitem) with aggregate views in the spirit of Q5/Q10/Q11-style
 // questions; each query runs under the three strategies and must agree.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -151,33 +150,16 @@ int Run(int64_t scale) {
     for (ExecutionStrategy strategy :
          {ExecutionStrategy::kOriginal, ExecutionStrategy::kCorrelated,
           ExecutionStrategy::kMagic}) {
-      QueryOptions options(strategy);
-      options.tracer = obs.tracer();
-      auto pipeline = db.Explain(q.sql, options);
-      if (!pipeline.ok()) {
+      auto m = MeasureQuery(&db, q.sql, obs.Options(strategy));
+      if (!m.ok()) {
         std::fprintf(stderr, "%s/%s: %s\n", q.id, StrategyName(strategy),
-                     pipeline.status().ToString().c_str());
+                     m.status().ToString().c_str());
         return 1;
       }
-      ExecOptions exec_options;
-      exec_options.memoize_correlation =
-          strategy != ExecutionStrategy::kCorrelated;
-      exec_options.tracer = obs.tracer();
-      Executor executor(pipeline->graph.get(), db.catalog(), exec_options);
-      auto start = std::chrono::steady_clock::now();
-      auto result = executor.Run();
-      auto end = std::chrono::steady_clock::now();
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s/%s: %s\n", q.id, StrategyName(strategy),
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      work[i] = executor.stats().TotalWork();
-      results[i] = std::move(*result);
-      report.Add({q.id, StrategyName(strategy), work[i],
-                  std::chrono::duration<double, std::milli>(end - start)
-                      .count(),
-                  results[i].num_rows()});
+      work[i] = m->work();
+      report.Add({q.id, StrategyName(strategy), work[i], m->exec_ms,
+                  m->rows()});
+      results[i] = std::move(m->last.table);
       ++i;
     }
     ok = Table::BagEquals(results[0], results[1]) &&

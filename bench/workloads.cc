@@ -28,6 +28,17 @@ bool BenchObs::Smoke() {
   return std::getenv("STARMAGIC_BENCH_SMOKE") != nullptr;
 }
 
+Result<Measured> MeasureQuery(Database* db, const std::string& sql,
+                              const QueryOptions& options, int runs) {
+  Measured m;
+  for (int i = 0; i < runs; ++i) {
+    SM_ASSIGN_OR_RETURN(m.last, db->Query(sql, options));
+    if (i == 0 || m.last.exec_ms < m.exec_ms) m.exec_ms = m.last.exec_ms;
+    if (i == 0 || m.last.wall_ms < m.wall_ms) m.wall_ms = m.last.wall_ms;
+  }
+  return m;
+}
+
 uint64_t Rng::Next() {
   state_ += 0x9e3779b97f4a7c15ULL;
   uint64_t z = state_;

@@ -19,9 +19,17 @@ class BenchObs {
   explicit BenchObs(std::string name);
   ~BenchObs();
 
-  /// The span sink to thread into QueryOptions/ExecOptions; null when
-  /// tracing is off so instrumented code stays on its zero-cost path.
+  /// The span sink to thread into QueryOptions; null when tracing is off
+  /// so instrumented code stays on its zero-cost path.
   Tracer* tracer() { return tracer_.enabled() ? &tracer_ : nullptr; }
+
+  /// QueryOptions for `strategy` with this bench's tracer attached.
+  QueryOptions Options(
+      ExecutionStrategy strategy = ExecutionStrategy::kMagic) {
+    QueryOptions options(strategy);
+    options.tracer = tracer();
+    return options;
+  }
 
   static bool Smoke();
 
@@ -33,6 +41,24 @@ class BenchObs {
   std::string name_;
   Tracer tracer_;
 };
+
+/// What MeasureQuery saw: the best times over its runs and the record of
+/// the last run (work, rows, emst_chosen, exec_stats, table, ...).
+struct Measured {
+  double exec_ms = 0;  ///< min QueryResult::exec_ms: execution only
+  double wall_ms = 0;  ///< min QueryResult::wall_ms: the whole Query()
+  QueryResult last;
+
+  int64_t work() const { return last.exec_stats.TotalWork(); }
+  int64_t rows() const { return last.table.num_rows(); }
+};
+
+/// The one bench harness: runs db->Query(sql, options) `runs` times and
+/// returns the best times and the last record. Every run compiles and
+/// executes afresh (no result cache survives a Query); catalog indexes
+/// persist, as in a real system. Fails with the first failing run.
+Result<Measured> MeasureQuery(Database* db, const std::string& sql,
+                              const QueryOptions& options, int runs = 1);
 
 /// Deterministic pseudo-random generator (splitmix64) so every bench run
 /// sees identical data.
