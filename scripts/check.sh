@@ -15,6 +15,17 @@ python3 "${ROOT}/scripts/doc_check.py" --self-test
 echo "== metrics lint: OpenMetrics validator self-test =="
 python3 "${ROOT}/scripts/metrics_lint.py" --self-test
 
+# Benches measure through Database::Query (bench/workloads.h MeasureQuery),
+# which times, governs and logs execution. Only bench_index.cc's
+# forced-scan side may build its own Executor: use_secondary_indexes is a
+# switch QueryOptions does not expose.
+echo "== bench harness: no private Executor outside bench_index.cc =="
+if grep -lwE 'Executor|ExecOptions' "${ROOT}"/bench/*.cc |
+    grep -v '/bench_index\.cc$'; then
+  echo "the bench files above build an Executor; use MeasureQuery" >&2
+  exit 1
+fi
+
 cmake -B "${BUILD}" -S "${ROOT}" -DSTARMAGIC_SANITIZE=ON
 cmake --build "${BUILD}" -j "$(nproc)"
 
