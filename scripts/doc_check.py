@@ -24,7 +24,11 @@ Four reference kinds are extracted and verified:
     docs/metrics-export.md is reconciled BOTH WAYS against the
     kObsRouteSpec block in src/net/obs_server.cc (the route table the
     server actually dispatches on): every served route must be
-    documented and every documented endpoint must still be served.
+    documented and every documented endpoint must still be served;
+  * the rewrite rules — the rule table in docs/architecture.md is
+    reconciled BOTH WAYS against the name() strings of the rules in
+    src/rewrite/*.h and src/magic/emst_rule.h: every rule must have a
+    row and every row must name a rule that exists.
 
 Usage:
   doc_check.py              verify the repo's docs; exit 1 on any stale
@@ -287,6 +291,63 @@ def check_obs_routes(routes, doc_text, name=OBS_DOC_PATH):
     return problems
 
 
+# --- rewrite-rule reconciliation ---------------------------------------------
+
+RULE_DOC_PATH = os.path.join("docs", "architecture.md")
+RULE_HEADERS = (os.path.join("src", "rewrite"),
+                os.path.join("src", "magic", "emst_rule.h"))
+RULE_NAME_RE = re.compile(
+    r'const char\* name\(\) const override \{\s*return "([^"]+)";')
+RULE_DOC_ROW_RE = re.compile(r"^\| `([a-z-]+)` \|")
+
+
+def rule_names():
+    """The name() strings of the rewrite rules: every header in
+    src/rewrite/ plus src/magic/emst_rule.h."""
+    paths = []
+    for entry in RULE_HEADERS:
+        full = os.path.join(ROOT, entry)
+        if os.path.isdir(full):
+            paths += [os.path.join(full, n) for n in sorted(os.listdir(full))
+                      if n.endswith(".h")]
+        else:
+            paths.append(full)
+    names = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            names.update(RULE_NAME_RE.findall(f.read()))
+    return names
+
+
+def parse_rule_doc(text):
+    """Rule names from the rows of the rule table in
+    docs/architecture.md ('| `merge` | all | ... |')."""
+    names = set()
+    for line in text.splitlines():
+        row = RULE_DOC_ROW_RE.match(line.strip())
+        if row:
+            names.add(row.group(1))
+    return names
+
+
+def check_rules(names, doc_text, name=RULE_DOC_PATH):
+    """Both directions: rule -> doc (every rule has a row) and doc ->
+    rule (no row names a rule that is gone)."""
+    problems = []
+    if not names:
+        problems.append("src/rewrite: no rule name() strings found "
+                        "(extraction broken?)")
+        return problems
+    documented = parse_rule_doc(doc_text)
+    for rule in sorted(names - documented):
+        problems.append(f"{name}: rewrite rule '{rule}' has no row in "
+                        "the rule table")
+    for rule in sorted(documented - names):
+        problems.append(f"{name}: documented rewrite rule '{rule}' "
+                        "does not exist")
+    return problems
+
+
 def check_docs(docs, valid_commands, valid_env):
     """Returns a list of 'file: problem' strings for `docs`, a list of
     (display_name, text) pairs."""
@@ -309,15 +370,17 @@ def check_docs(docs, valid_commands, valid_env):
 
 
 def self_test(valid_commands, valid_env, spec, sys_doc_text, routes,
-              obs_doc_text):
+              obs_doc_text, rules, rule_doc_text):
     """Injected drift of every kind must be caught — proving the
     checker would catch real drift, not just happen to pass today.
     Three generic stale references, four sys-schema mutations applied
     to the real docs/system-tables.md text (a table the registry
     doesn't have, a renamed column caught from BOTH directions, a
-    changed column type), and two route mutations applied to the real
+    changed column type), two route mutations applied to the real
     docs/metrics-export.md text (a removed endpoint row and a bogus
-    documented endpoint)."""
+    documented endpoint), and two rule-table mutations applied to the
+    real docs/architecture.md text (a removed rule row and a row for a
+    rule that does not exist)."""
     # The variable name is assembled at runtime so this script's own
     # source (scanned by tree_env_vars) never defines it.
     stale_var = "STARMAGIC_" + "NONEXISTENT_KNOB"
@@ -369,8 +432,23 @@ def self_test(valid_commands, valid_env, spec, sys_doc_text, routes,
         for p in obs_problems:
             print(f"  {p}", file=sys.stderr)
         return False
-    print(f"self-test ok ({expected + sys_expected + obs_expected} "
-          "injected stale references caught)")
+
+    stale_rules = rule_doc_text.replace("| `merge` |", "| merge |", 1)
+    stale_rules += "\n| `loop-unroll` | all | bogus |\n"
+    if "| `merge` |" in stale_rules:
+        print("self-test FAILED: rule mutation did not apply (rule-table "
+              "wording changed?)", file=sys.stderr)
+        return False
+    rule_problems = check_rules(rules, stale_rules, name="<rule-self-test>")
+    rule_expected = 2  # merge undocumented, loop-unroll does not exist
+    if len(rule_problems) != rule_expected:
+        print(f"self-test FAILED: expected {rule_expected} rule problems, "
+              f"got {len(rule_problems)}:", file=sys.stderr)
+        for p in rule_problems:
+            print(f"  {p}", file=sys.stderr)
+        return False
+    total = expected + sys_expected + obs_expected + rule_expected
+    print(f"self-test ok ({total} injected stale references caught)")
     return True
 
 
@@ -415,13 +493,20 @@ def main():
     problems += check_obs_routes(routes, obs_doc_text)
     checked_refs += len(routes)
 
+    rules = rule_names()
+    with open(os.path.join(ROOT, RULE_DOC_PATH), encoding="utf-8") as f:
+        rule_doc_text = f.read()
+    problems += check_rules(rules, rule_doc_text)
+    checked_refs += len(rules)
+
     for p in problems:
         print(f"STALE {p}", file=sys.stderr)
     print(f"doc_check: {len(docs)} docs, {checked_refs} references, "
           f"{len(problems)} stale")
 
     if run_self_test and not self_test(valid_commands, valid_env, spec,
-                                       sys_doc_text, routes, obs_doc_text):
+                                       sys_doc_text, routes, obs_doc_text,
+                                       rules, rule_doc_text):
         return 1
     return 1 if problems else 0
 

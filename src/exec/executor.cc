@@ -247,43 +247,14 @@ Result<Table> Executor::Run() {
   return out;
 }
 
-const std::vector<std::pair<int, int>>& Executor::ExternalRefs(Box* box) {
+const ColumnRefs& Executor::ExternalRefs(Box* box) {
   auto it = ext_refs_.find(box->id());
-  if (it != ext_refs_.end()) return it->second;
-
-  std::set<int> subtree_qids;
-  std::set<int> seen;
-  std::vector<Box*> stack{box};
-  std::vector<Box*> subtree;
-  while (!stack.empty()) {
-    Box* b = stack.back();
-    stack.pop_back();
-    if (!seen.insert(b->id()).second) continue;
-    subtree.push_back(b);
-    for (const auto& q : b->quantifiers()) {
-      subtree_qids.insert(q->id);
-      if (q->input != nullptr) stack.push_back(q->input);
-    }
+  if (it == ext_refs_.end()) {
+    // One walk covers `box` and every box under it.
+    ext_refs_.merge(starmagic::ExternalRefs(box));
+    it = ext_refs_.find(box->id());
   }
-  std::set<std::pair<int, int>> pairs;
-  for (Box* b : subtree) {
-    auto scan = [&](const Expr& e) {
-      e.Visit([&](const Expr& node) {
-        if (node.kind == ExprKind::kColumnRef && node.quantifier_id >= 0 &&
-            !subtree_qids.count(node.quantifier_id)) {
-          pairs.emplace(node.quantifier_id, node.column_index);
-        }
-      });
-    };
-    for (const ExprPtr& p : b->predicates()) scan(*p);
-    for (const OutputColumn& out : b->outputs()) {
-      if (out.expr != nullptr) scan(*out.expr);
-    }
-  }
-  return ext_refs_
-      .emplace(box->id(),
-               std::vector<std::pair<int, int>>(pairs.begin(), pairs.end()))
-      .first->second;
+  return it->second;
 }
 
 Result<Row> Executor::BindingKey(Box* box, const RowEnv& env) {
@@ -464,9 +435,7 @@ const SelectPlan& Executor::PlanFor(Box* box) {
   if (it != select_plans_.end()) return it->second;
   SelectPlan plan = LowerSelect(
       box, catalog_, options_.use_secondary_indexes,
-      [this](Box* b) -> const std::vector<std::pair<int, int>>& {
-        return ExternalRefs(b);
-      });
+      [this](Box* b) -> const ColumnRefs& { return ExternalRefs(b); });
   return select_plans_.emplace(box->id(), std::move(plan)).first->second;
 }
 

@@ -179,9 +179,9 @@ class Executor {
 
   Status EnsureSccEvaluated(int scc_id);
 
-  /// Sorted (quantifier, column) pairs the subtree of `box` references but
-  /// does not own — the correlation signature (memoized).
-  const std::vector<std::pair<int, int>>& ExternalRefs(Box* box);
+  /// The correlation signature of `box` (qgm ExternalRefs), memoized: a
+  /// miss fills in every box under `box` at once.
+  const ColumnRefs& ExternalRefs(Box* box);
 
   /// Binding-key row for `box` under `env` (values of the external refs).
   Result<Row> BindingKey(Box* box, const RowEnv& env);
@@ -243,7 +243,7 @@ class Executor {
 
   std::map<int, Table> cache_;  ///< uncorrelated results, keyed by box id
   std::map<int, std::unordered_map<Row, Table, RowHash, RowEq>> corr_cache_;
-  std::map<int, std::vector<std::pair<int, int>>> ext_refs_;
+  std::map<int, ColumnRefs> ext_refs_;
   std::map<int, SelectPlan> select_plans_;  ///< keyed by box id
   /// One past the largest quantifier id of the graph: the slot count of
   /// every RowEnv this executor creates, so binding never grows one.

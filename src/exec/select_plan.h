@@ -7,7 +7,7 @@
 
 #include "catalog/catalog.h"
 #include "common/status.h"
-#include "qgm/box.h"
+#include "qgm/graph.h"
 
 namespace starmagic {
 
@@ -76,10 +76,8 @@ struct SelectPlan {
   std::vector<const Expr*> final_filters;
 };
 
-/// Sorted (quantifier, column) pairs the subtree of a box references but
-/// does not own — the box's correlation signature.
-using ExternalRefsFn =
-    std::function<const std::vector<std::pair<int, int>>&(Box*)>;
+/// The correlation signature of a box (qgm ExternalRefs).
+using ExternalRefsFn = std::function<const ColumnRefs&(Box*)>;
 
 /// Lowers `box` (a select box). Index access paths are resolved against
 /// `catalog` when `use_secondary_indexes` is set.

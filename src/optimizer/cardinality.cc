@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rewrite/transitive_range.h"
+
 namespace starmagic {
 
 namespace {
@@ -138,8 +140,12 @@ BoxEstimate CardinalityEstimator::Compute(const Box* box) {
         if (col < 0 || col >= static_cast<int>(child.ndv.size())) return -1;
         return child.ndv[static_cast<size_t>(col)];
       };
-      for (const ExprPtr& p : box->predicates()) {
-        rows *= PredicateSelectivity(*p, ndv_of);
+      // Range conjuncts implied through join equalities filter the same
+      // rows: count each group once.
+      const std::vector<int> groups = ImpliedRangeGroups(*box);
+      for (size_t i = 0; i < box->predicates().size(); ++i) {
+        if (!groups.empty() && groups[i] != static_cast<int>(i)) continue;
+        rows *= PredicateSelectivity(*box->predicates()[i], ndv_of);
       }
       for (const auto& q : box->quantifiers()) {
         if (q->type == QuantifierType::kExistential) {

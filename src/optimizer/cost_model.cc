@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rewrite/transitive_range.h"
+
 namespace starmagic {
 
 double CostModel::BoxCost(const Box* box, const std::vector<int>& order,
@@ -49,6 +51,11 @@ double CostModel::BoxCost(const Box* box, const std::vector<int>& order,
   std::vector<const Expr*> preds;
   for (const ExprPtr& p : box->predicates()) preds.push_back(p.get());
   std::vector<bool> applied(preds.size(), false);
+  // A range conjunct implied through a join equality filters early when
+  // its quantifier is joined first, but its group's selectivity counts
+  // once, so the box's output estimate stays the estimator's.
+  const std::vector<int> groups = ImpliedRangeGroups(*box);
+  std::vector<bool> group_counted(groups.size(), false);
 
   auto apply_ready_preds = [&]() {
     for (size_t i = 0; i < preds.size(); ++i) {
@@ -60,10 +67,14 @@ double CostModel::BoxCost(const Box* box, const std::vector<int>& order,
           break;
         }
       }
-      if (ready) {
-        applied[i] = true;
-        rows *= estimator_->PredicateSelectivity(*preds[i], ndv_of);
+      if (!ready) continue;
+      applied[i] = true;
+      if (!groups.empty()) {
+        const size_t group = static_cast<size_t>(groups[i]);
+        if (group_counted[group]) continue;
+        group_counted[group] = true;
       }
+      rows *= estimator_->PredicateSelectivity(*preds[i], ndv_of);
     }
     rows = std::max(rows, 1e-3);
   };
@@ -187,38 +198,7 @@ const SecondaryIndex* CostModel::UsableIndex(const Box* box,
   return nullptr;
 }
 
-double CostModel::CorrelationMultiplier(const Box* box) {
-  // Collect external references of the subtree rooted at `box`.
-  std::set<int> subtree_qids;
-  std::set<int> seen_boxes;
-  std::vector<const Box*> stack{box};
-  std::vector<const Box*> subtree;
-  while (!stack.empty()) {
-    const Box* b = stack.back();
-    stack.pop_back();
-    if (!seen_boxes.insert(b->id()).second) continue;
-    subtree.push_back(b);
-    for (const auto& q : b->quantifiers()) {
-      subtree_qids.insert(q->id);
-      if (q->input != nullptr) stack.push_back(q->input);
-    }
-  }
-  std::set<std::pair<int, int>> external;  // (qid, col)
-  for (const Box* b : subtree) {
-    auto scan = [&](const Expr& e) {
-      e.Visit([&](const Expr& node) {
-        if (node.kind == ExprKind::kColumnRef &&
-            node.quantifier_id >= 0 &&
-            !subtree_qids.count(node.quantifier_id)) {
-          external.emplace(node.quantifier_id, node.column_index);
-        }
-      });
-    };
-    for (const ExprPtr& p : b->predicates()) scan(*p);
-    for (const OutputColumn& out : b->outputs()) {
-      if (out.expr != nullptr) scan(*out.expr);
-    }
-  }
+double CostModel::CorrelationMultiplier(const ColumnRefs& external) {
   if (external.empty()) return 1.0;
 
   double multiplier = 1.0;
@@ -248,6 +228,7 @@ double CostModel::CorrelationMultiplier(const Box* box) {
 
 double CostModel::GraphCost() {
   if (graph_->top() == nullptr) return 0;
+  const std::map<int, ColumnRefs> external = ExternalRefs(graph_->top());
   std::set<int> seen;
   std::vector<const Box*> stack{graph_->top()};
   double total = 0;
@@ -255,7 +236,8 @@ double CostModel::GraphCost() {
     const Box* b = stack.back();
     stack.pop_back();
     if (!seen.insert(b->id()).second) continue;
-    total += BoxCost(b, b->join_order()) * CorrelationMultiplier(b);
+    total += BoxCost(b, b->join_order()) *
+             CorrelationMultiplier(external.at(b->id()));
     for (const auto& q : b->quantifiers()) {
       if (q->input != nullptr) stack.push_back(q->input);
     }

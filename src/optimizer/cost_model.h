@@ -42,8 +42,9 @@ class CostModel {
   /// the top, weighted by its correlation multiplier.
   double GraphCost();
 
-  /// Estimated number of times `box` is evaluated (1 when uncorrelated).
-  double CorrelationMultiplier(const Box* box);
+  /// Estimated number of times a box whose correlation signature is
+  /// `external` (qgm ExternalRefs) is evaluated: 1 when uncorrelated.
+  double CorrelationMultiplier(const ColumnRefs& external);
 
   /// The secondary index (if any) the executor would probe when joining
   /// quantifier `qid` of `box` after the quantifiers in `bound` are

@@ -15,6 +15,7 @@
 #include "rewrite/projection_pruning.h"
 #include "rewrite/pushdown.h"
 #include "rewrite/redundant_join.h"
+#include "rewrite/transitive_range.h"
 
 namespace starmagic {
 
@@ -52,6 +53,9 @@ void AddCommonRules(RewriteEngine* engine, const RewriteToggles& t) {
   if (t.constant_folding) engine->AddRule(std::make_unique<ConstantFoldingRule>());
   if (t.distinct_pullup) engine->AddRule(std::make_unique<DistinctPullupRule>());
   if (t.merge) engine->AddRule(std::make_unique<MergeRule>());
+  // Not switchable: its conjuncts are implied, so it never changes an
+  // answer, and it keeps row estimates as they were.
+  engine->AddRule(std::make_unique<TransitiveRangeRule>());
   if (t.local_pushdown) {
     engine->AddRule(std::make_unique<LocalPredicatePushdownRule>());
   }
@@ -215,6 +219,10 @@ Result<PipelineResult> OptimizeQuery(std::unique_ptr<QueryGraph> graph,
   }
 
   // ---- Magic: keep the no-EMST plan for the §3.2 comparison ------------------
+  // Every graph the comparison may return is validated before it is
+  // costed: this phase-1 graph (and so its no-EMST clone) here, each EMST
+  // candidate after its phase 3.
+  SM_RETURN_IF_ERROR(graph->Validate());
   std::unique_ptr<QueryGraph> no_emst = graph->Clone();
   // The sips-order candidate runs only when it reorders some join: with
   // every order unchanged it would rebuild the same graph and the same C2,
@@ -275,6 +283,11 @@ Result<PipelineResult> OptimizeQuery(std::unique_ptr<QueryGraph> graph,
     if (snapshot) {
       Snapshot(&result, options, StrCat("after-phase3", tag).c_str(), *g);
     }
+    Status valid = g->Validate();
+    if (!valid.ok()) {
+      return Status::Internal(StrCat("EMST candidate \"", tag,
+                                     "\" is invalid: ", valid.message()));
+    }
     SpanScope span(tracer, StrCat("plan-optimize-2", tag), "optimizer");
     PlanInfo plan2 = OptimizePlan(g, catalog, CostOptionsFor(options.strategy));
     span.SetAttribute("C2", plan2.total_cost);
@@ -317,7 +330,6 @@ Result<PipelineResult> OptimizeQuery(std::unique_ptr<QueryGraph> graph,
       options.metrics->counter("pipeline.emst_chosen")->Add(1);
     }
   }
-  SM_RETURN_IF_ERROR(result.graph->Validate());
   return result;
 }
 

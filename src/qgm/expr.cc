@@ -283,8 +283,6 @@ ExprPtr LowerInList(ExprPtr operand, std::vector<ExprPtr> items,
   return disjunction;
 }
 
-namespace {
-
 BinaryOp MirrorOp(BinaryOp op) {
   switch (op) {
     case BinaryOp::kLt:
@@ -299,8 +297,6 @@ BinaryOp MirrorOp(BinaryOp op) {
       return op;  // = and <> are symmetric
   }
 }
-
-}  // namespace
 
 bool MatchColumnComparison(const Expr& e, ColumnComparison* out) {
   if (e.kind != ExprKind::kBinary || !IsComparisonOp(e.bin_op)) return false;

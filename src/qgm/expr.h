@@ -122,6 +122,10 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
 /// the first error match a left-deep chain. `items` must be non-empty.
 ExprPtr LowerInList(ExprPtr operand, std::vector<ExprPtr> items, bool negated);
 
+/// The operator of `r op l` given `l op r`: < and > swap, as do <= and
+/// >=; = and <> are their own mirror.
+BinaryOp MirrorOp(BinaryOp op);
+
 /// If `e` is `<colref> op <expr-not-referencing-colref-quantifier>` or the
 /// mirrored form, returns the colref side, op (normalized so the colref is
 /// on the left), and the other side. Used by pushdown/adornment.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 
 #include "common/string_util.h"
 
@@ -379,15 +380,21 @@ Status QueryGraph::Validate() const {
     }
   }
   for (const auto& b : boxes_) {
+    // Runs on every EMST candidate before it is costed, so it walks each
+    // expression without collecting its quantifiers into a set.
     auto check_expr = [&](const Expr& e, const char* what) -> Status {
-      for (int qid : e.ReferencedQuantifiers()) {
-        if (!all_qids.count(qid)) {
-          return Status::Internal(StrCat(what, " in ", b->DebugId(),
-                                         " references unknown q", qid, ": ",
-                                         e.ToString()));
+      const Expr* unknown = nullptr;
+      e.Visit([&](const Expr& node) {
+        if (unknown == nullptr && node.kind == ExprKind::kColumnRef &&
+            !all_qids.count(node.quantifier_id)) {
+          unknown = &node;
         }
-      }
-      return Status::OK();
+      });
+      if (unknown == nullptr) return Status::OK();
+      return Status::Internal(StrCat(what, " in ", b->DebugId(),
+                                     " references unknown q",
+                                     unknown->quantifier_id, ": ",
+                                     e.ToString()));
     };
     for (const ExprPtr& p : b->predicates()) {
       SM_RETURN_IF_ERROR(check_expr(*p, "predicate"));
@@ -450,6 +457,72 @@ Status QueryGraph::Validate() const {
     }
   }
   return Status::OK();
+}
+
+std::map<int, ColumnRefs> ExternalRefs(const Box* root) {
+  // Pass 1: the boxes under `root`, each with the references its own
+  // expressions make to quantifiers it does not own.
+  std::vector<const Box*> boxes;
+  std::map<int, size_t> index_of;  // box id -> position in `boxes`
+  std::vector<ColumnRefs> own_refs;
+  std::vector<const Box*> stack{root};
+  while (!stack.empty()) {
+    const Box* b = stack.back();
+    stack.pop_back();
+    if (!index_of.emplace(b->id(), boxes.size()).second) continue;
+    boxes.push_back(b);
+    ColumnRefs refs;
+    auto scan = [&](const Expr& e) {
+      e.Visit([&](const Expr& node) {
+        if (node.kind == ExprKind::kColumnRef && node.quantifier_id >= 0 &&
+            b->FindQuantifier(node.quantifier_id) == nullptr) {
+          refs.emplace_back(node.quantifier_id, node.column_index);
+        }
+      });
+    };
+    for (const ExprPtr& p : b->predicates()) scan(*p);
+    for (const OutputColumn& out : b->outputs()) {
+      if (out.expr != nullptr) scan(*out.expr);
+    }
+    own_refs.push_back(std::move(refs));
+    for (const auto& q : b->quantifiers()) {
+      if (q->input != nullptr) stack.push_back(q->input);
+    }
+  }
+  // Pass 2: a box's signature is what its subtree's boxes reference
+  // outside the quantifiers the subtree owns.
+  std::map<int, ColumnRefs> result;
+  std::vector<char> seen(boxes.size());
+  std::vector<int> owned;
+  ColumnRefs refs;
+  for (const Box* box : boxes) {
+    std::fill(seen.begin(), seen.end(), 0);
+    owned.clear();
+    refs.clear();
+    stack.assign(1, box);
+    while (!stack.empty()) {
+      const Box* b = stack.back();
+      stack.pop_back();
+      const size_t k = index_of.at(b->id());
+      if (seen[k]) continue;
+      seen[k] = 1;
+      refs.insert(refs.end(), own_refs[k].begin(), own_refs[k].end());
+      for (const auto& q : b->quantifiers()) {
+        owned.push_back(q->id);
+        if (q->input != nullptr) stack.push_back(q->input);
+      }
+    }
+    std::sort(owned.begin(), owned.end());
+    std::sort(refs.begin(), refs.end());
+    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+    ColumnRefs& external = result[box->id()];
+    for (const auto& ref : refs) {
+      if (!std::binary_search(owned.begin(), owned.end(), ref.first)) {
+        external.push_back(ref);
+      }
+    }
+  }
+  return result;
 }
 
 int QueryGraph::NumBoxes() const { return static_cast<int>(boxes_.size()); }

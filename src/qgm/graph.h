@@ -19,6 +19,16 @@ struct OrderSpec {
   bool ascending = true;
 };
 
+/// Sorted (quantifier id, column) pairs.
+using ColumnRefs = std::vector<std::pair<int, int>>;
+
+/// The correlation signature of every box reachable from `root`, keyed by
+/// box id: the column references that the box's subtree makes but whose
+/// quantifiers it does not own. Each expression is visited once, however
+/// many of the subtrees contain it. The executor keys correlated results
+/// by these references; the cost model charges a box once per binding.
+std::map<int, ColumnRefs> ExternalRefs(const Box* root);
+
 /// The arena owning every box of one query. Quantifier and box ids are
 /// unique within the graph. Cycles between boxes represent recursion.
 class QueryGraph {

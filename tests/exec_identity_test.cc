@@ -7,7 +7,8 @@
 // predicates, NULL under every comparison operator and under AND/OR/NOT, a
 // correlated subquery reading a column bound two box levels up, a hoisted
 // scalar subquery inside a join predicate, a bound join into an aggregate
-// view, and recursive views whose fixpoint joins inside the SCC. Each case
+// view, recursive views whose fixpoint joins inside the SCC, and ranges on
+// equi-joined columns. Each case
 // runs under the three strategies (magic with the cost comparison off, so
 // the EMST graph is what runs), with the secondary indexes used and
 // ignored, at 1, 2 and 8 threads with two-row morsels, so every join step
@@ -72,6 +73,9 @@ constexpr const char* kSchema = R"sql(
     SELECT h1.src, h2.dst FROM hop h1, hop h2 WHERE h1.dst = h2.src;
   CREATE VIEW usum (a, total, n) AS
     SELECT a, SUM(c), COUNT(*) FROM u GROUP BY a;
+  CREATE VIEW deptpay (dept, total) AS
+    SELECT e.dept, SUM(d.budget) FROM emp e, dept d WHERE e.dept = d.id
+    GROUP BY e.dept;
   CREATE INDEX u_a ON u (a);
   CREATE INDEX u_c ON u (c) USING ORDERED;
   CREATE INDEX t_a ON t (a) USING ORDERED;
@@ -149,6 +153,19 @@ const Case kCases[] = {
     {"recursive-linear", "SELECT src, dst FROM reach"},
     {"recursive-bound", "SELECT src, dst FROM reach WHERE src = 2"},
     {"recursive-nonlinear", "SELECT src, dst FROM hop WHERE dst = 2"},
+    // A range on an equi-joined column: the Table-1 H shape, where the
+    // range reaches the view's join (correlated, or as a condition-magic
+    // bound) and is derived onto the other join input; and a range whose
+    // type differs from the join's, on either join input, which must
+    // raise the same error after the same work: a derived `t.a < 'x'`
+    // would raise it at t's scan, before the join reaches `u.a < 'x'`.
+    {"range-view-join",
+     "SELECT d.id, v.total FROM dept d, deptpay v WHERE v.dept <= d.id "
+     "AND d.budget < 150"},
+    {"range-join-type-error", "SELECT t.a, u.c FROM t, u WHERE t.a = u.a "
+                              "AND t.a < 'x'"},
+    {"range-join-type-error-inner",
+     "SELECT t.a, u.c FROM t, u WHERE t.a = u.a AND u.a < 'x'"},
 };
 
 struct Outcome {

@@ -24,6 +24,19 @@ class RecursiveTest : public ::testing::Test {
   Database db_;
 };
 
+// True when both EMST candidates (optimizer order "" and sips order
+// "-sips") ran their phase 3; the pipeline validates each before costing
+// it, so a compile that succeeds had two valid candidates.
+bool RanBothEmstCandidates(const QueryResult& r) {
+  bool plain = false;
+  bool sips = false;
+  for (const RuleFireStats& f : r.rule_fires) {
+    plain = plain || f.phase == "phase3";
+    sips = sips || f.phase == "phase3-sips";
+  }
+  return plain && sips;
+}
+
 TEST_F(RecursiveTest, FullClosureIsCorrect) {
   auto r = db_.Query("SELECT COUNT(*) AS n FROM tc",
                      QueryOptions(ExecutionStrategy::kOriginal));
@@ -41,6 +54,7 @@ TEST_F(RecursiveTest, BoundSourceAgreesAcrossStrategies) {
   ASSERT_TRUE(magic.ok()) << magic.status().ToString();
   ASSERT_EQ(orig->table.num_rows(), 4);  // 3, 4, 5, 6
   EXPECT_TRUE(Table::BagEquals(orig->table, magic->table));
+  EXPECT_TRUE(RanBothEmstCandidates(*magic));
 }
 
 TEST_F(RecursiveTest, MagicRestrictsTheFixpoint) {

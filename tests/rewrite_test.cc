@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "optimizer/cardinality.h"
 #include "qgm/builder.h"
 #include "qgm/printer.h"
 #include "rewrite/constant_folding.h"
@@ -11,6 +12,7 @@
 #include "rewrite/projection_pruning.h"
 #include "rewrite/pushdown.h"
 #include "rewrite/redundant_join.h"
+#include "rewrite/transitive_range.h"
 #include "sql/parser.h"
 
 namespace starmagic {
@@ -320,6 +322,129 @@ TEST_F(RewriteTest, EngineEnableDisableByName) {
   auto r = engine.Run(&ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->total_applications, 0);  // disabled rule never fires
+}
+
+// --- transitive-range ------------------------------------------------------
+
+// Id of the quantifier named `name` in `box`.
+int QuantifierId(const Box* box, const std::string& name) {
+  for (const auto& q : box->quantifiers()) {
+    if (q->name == name) return q->id;
+  }
+  ADD_FAILURE() << "no quantifier " << name << " in " << box->DebugId();
+  return -1;
+}
+
+// `box` has the conjunct `qid.col op x`, written that way round.
+bool HasConjunct(const Box* box, int qid, int col, BinaryOp op,
+                 const Expr& x) {
+  ExprPtr want = Expr::MakeBinary(op, Expr::MakeColumnRef(qid, col), x.Clone());
+  for (const ExprPtr& p : box->predicates()) {
+    if (Expr::Equals(*p, *want)) return true;
+  }
+  return false;
+}
+
+TEST_F(RewriteTest, TransitiveRangeDerivesInBothOrientations) {
+  for (const char* range : {"e.dept < 10", "10 > e.dept"}) {
+    auto g = Build(std::string("SELECT e.empno FROM emp e, dept d WHERE "
+                               "e.dept = d.deptno AND ") +
+                   range);
+    EXPECT_EQ(RunRule(g.get(), std::make_unique<TransitiveRangeRule>()), 1)
+        << range;
+    const Box* top = g->top();
+    EXPECT_EQ(top->predicates().size(), 3u) << PrintGraph(*g);
+    EXPECT_TRUE(HasConjunct(top, QuantifierId(top, "d"), 0, BinaryOp::kLt,
+                            *Expr::MakeLiteral(Value::Int(10))))
+        << range << "\n" << PrintGraph(*g);
+    EXPECT_TRUE(g->Validate().ok());
+  }
+}
+
+TEST_F(RewriteTest, TransitiveRangeFollowsAChain) {
+  auto g = Build(
+      "SELECT e.empno FROM emp e, dept d, emp e2 WHERE e.dept = d.deptno "
+      "AND d.deptno = e2.dept AND e.dept >= 3");
+  RunRule(g.get(), std::make_unique<TransitiveRangeRule>());
+  const Box* top = g->top();
+  ExprPtr three = Expr::MakeLiteral(Value::Int(3));
+  EXPECT_TRUE(HasConjunct(top, QuantifierId(top, "d"), 0, BinaryOp::kGtEq,
+                          *three))
+      << PrintGraph(*g);
+  EXPECT_TRUE(HasConjunct(top, QuantifierId(top, "e2"), 1, BinaryOp::kGtEq,
+                          *three))
+      << PrintGraph(*g);
+  EXPECT_EQ(top->predicates().size(), 5u) << PrintGraph(*g);
+}
+
+TEST_F(RewriteTest, TransitiveRangeLeavesOtherShapesAlone) {
+  const char* queries[] = {
+      // Not a range operator.
+      "SELECT e.empno FROM emp e, dept d WHERE e.dept = d.deptno "
+      "AND e.dept = 10",
+      "SELECT e.empno FROM emp e, dept d WHERE e.dept = d.deptno "
+      "AND e.dept <> 10",
+      "SELECT d.deptno FROM dept d, dept d2 WHERE d.dname = d2.dname "
+      "AND d.dname LIKE 'a%'",
+      // X references b's quantifier.
+      "SELECT e.empno FROM emp e, emp e2 WHERE e.dept = e2.dept "
+      "AND e.dept < e2.empno",
+      // X is arithmetic, or a parameter of unknown type.
+      "SELECT e.empno FROM emp e, dept d WHERE e.dept = d.deptno "
+      "AND e.dept < 5 + 1",
+      "SELECT e.empno FROM emp e, dept d WHERE e.dept = d.deptno "
+      "AND e.dept < ?",
+      // An INTEGER column equated with a VARCHAR one.
+      "SELECT e.empno FROM emp e, dept d WHERE e.empno = d.dname "
+      "AND e.empno < 5",
+      "SELECT e.empno FROM emp e, dept d WHERE e.empno = d.dname "
+      "AND d.dname < 'm'",
+  };
+  for (const char* sql : queries) {
+    auto g = Build(sql);
+    size_t before = g->top()->predicates().size();
+    EXPECT_EQ(RunRule(g.get(), std::make_unique<TransitiveRangeRule>()), 0)
+        << sql << "\n" << PrintGraph(*g);
+    EXPECT_EQ(g->top()->predicates().size(), before) << sql;
+  }
+}
+
+TEST_F(RewriteTest, TransitiveRangeSecondApplyChangesNothing) {
+  auto g = Build(
+      "SELECT e.empno FROM emp e, dept d WHERE e.dept = d.deptno "
+      "AND e.dept <= 4");
+  TransitiveRangeRule rule;
+  RewriteContext ctx;
+  ctx.graph = g.get();
+  ctx.catalog = &catalog_;
+  auto first = rule.Apply(&ctx, g->top());
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(*first);
+  auto second = rule.Apply(&ctx, g->top());
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(*second);
+}
+
+// The H shape of Table 1 after condition magic: a join whose one side is
+// bounded by a scalar MIN/MAX, under an aggregate. The derived conjunct is
+// implied, so every box keeps its estimated row count.
+TEST_F(RewriteTest, TransitiveRangeKeepsEveryBoxEstimate) {
+  auto g = Build(
+      "SELECT e.dept, SUM(e.sal) FROM emp e, dept d "
+      "WHERE e.dept = d.deptno AND e.dept <= "
+      "(SELECT MAX(deptno) FROM dept WHERE dname = 'Planning') "
+      "GROUP BY e.dept");
+  std::unique_ptr<QueryGraph> before = g->Clone();
+  ASSERT_GE(RunRule(g.get(), std::make_unique<TransitiveRangeRule>()), 1)
+      << PrintGraph(*g);
+  ASSERT_EQ(g->NumBoxes(), before->NumBoxes());
+  CardinalityEstimator old_estimates(before.get(), &catalog_);
+  CardinalityEstimator new_estimates(g.get(), &catalog_);
+  for (Box* box : g->boxes()) {
+    EXPECT_EQ(new_estimates.Estimate(box).rows,
+              old_estimates.Estimate(before->GetBox(box->id())).rows)
+        << box->DebugId();
+  }
 }
 
 }  // namespace
