@@ -48,10 +48,7 @@ void ResolveIndexAccess(SelectPlan::Step* step, const std::string& table_name,
   for (const Expr* f : step->residual) {
     ColumnComparison cc;
     if (!MatchColumnComparisonFor(*f, qid, &cc)) continue;
-    if (cc.op != BinaryOp::kLt && cc.op != BinaryOp::kLtEq &&
-        cc.op != BinaryOp::kGt && cc.op != BinaryOp::kGtEq) {
-      continue;
-    }
+    if (!IsRangeOp(cc.op)) continue;
     bool available = true;
     for (int rid : cc.other->ReferencedQuantifiers()) {
       if (rid == qid || (own_qids.count(rid) && !seen.count(rid))) {

@@ -93,8 +93,7 @@ EmstRule::AdornResult EmstRule::AdornQuantifier(
       kinds[static_cast<size_t>(col)] = BindKind::kBound;
       result.bindings.push_back(
           Binding{col, BinaryOp::kEq, cc.other, static_cast<int>(pi)});
-    } else if (cc.op == BinaryOp::kLt || cc.op == BinaryOp::kLtEq ||
-               cc.op == BinaryOp::kGt || cc.op == BinaryOp::kGtEq) {
+    } else if (IsRangeOp(cc.op)) {
       if (!options_.push_conditions) continue;
       if (kinds[static_cast<size_t>(col)] != BindKind::kFree) continue;
       kinds[static_cast<size_t>(col)] = BindKind::kCondition;

@@ -181,9 +181,7 @@ const SecondaryIndex* CostModel::UsableIndex(const Box* box,
     if (!available) continue;
     if (cc.op == BinaryOp::kEq) {
       eq_cols.push_back(cc.column->column_index);
-    } else if (range_col < 0 &&
-               (cc.op == BinaryOp::kLt || cc.op == BinaryOp::kLtEq ||
-                cc.op == BinaryOp::kGt || cc.op == BinaryOp::kGtEq)) {
+    } else if (range_col < 0 && IsRangeOp(cc.op)) {
       range_col = cc.column->column_index;
     }
   }

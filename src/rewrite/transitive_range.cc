@@ -8,11 +8,6 @@ namespace starmagic {
 
 namespace {
 
-bool IsRangeOp(BinaryOp op) {
-  return op == BinaryOp::kLt || op == BinaryOp::kLtEq ||
-         op == BinaryOp::kGt || op == BinaryOp::kGtEq;
-}
-
 bool IsRangeComparison(const Expr& e) {
   return e.kind == ExprKind::kBinary && IsRangeOp(e.bin_op);
 }

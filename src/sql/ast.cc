@@ -65,6 +65,11 @@ bool IsComparisonOp(BinaryOp op) {
   }
 }
 
+bool IsRangeOp(BinaryOp op) {
+  return op == BinaryOp::kLt || op == BinaryOp::kLtEq ||
+         op == BinaryOp::kGt || op == BinaryOp::kGtEq;
+}
+
 const char* SetOpName(SetOp op) {
   switch (op) {
     case SetOp::kUnion:

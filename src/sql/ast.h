@@ -57,6 +57,8 @@ const char* BinaryOpSymbol(BinaryOp op);
 const char* AggFuncName(AggFunc func);
 /// True for the six comparison operators.
 bool IsComparisonOp(BinaryOp op);
+/// True for <, <=, > and >=.
+bool IsRangeOp(BinaryOp op);
 
 struct AstBlob;  // forward: subqueries embed blobs.
 
