@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <optional>
+#include <string>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -105,6 +107,7 @@ Executor::Executor(QueryGraph* graph, const Catalog* catalog,
   for (int box_id : strata_.recursive_boxes) {
     scc_members_[strata_.scc_id[box_id]].push_back(box_id);
   }
+  if (!scc_members_.empty()) windows_.assign(num_slots_, kWholeInput);
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<WorkerPool>(options_.num_threads,
                                          options_.tracer,
@@ -354,6 +357,19 @@ Result<const Table*> Executor::EvalBox(Box* box, const RowEnv& env,
   SM_ASSIGN_OR_RETURN(Table result, ComputeBox(box, env));
   *scratch = std::move(result);
   return scratch;
+}
+
+Result<Executor::InputRows> Executor::ReadInput(Quantifier* q,
+                                                const RowEnv& env,
+                                                Table* scratch) {
+  SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, env, scratch));
+  std::span<const Row> rows(t->rows());
+  if (static_cast<size_t>(q->id) < windows_.size()) {
+    const auto [begin, end] = windows_[static_cast<size_t>(q->id)];
+    const size_t b = std::min(begin, rows.size());
+    rows = rows.subspan(b, std::min(end, rows.size()) - b);
+  }
+  return InputRows{t, rows};
 }
 
 Result<Table> Executor::ComputeBox(Box* box, const RowEnv& env) {
@@ -635,9 +651,9 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       RowEnv inner = box_env;
       for (int64_t ci = 0; ci < n; ++ci) {
         bind_combo(ci, &inner);
-        SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, inner, &scratch));
-        stats_.rows_scanned += t->num_rows();
-        for (const Row& row : t->rows()) {
+        SM_ASSIGN_OR_RETURN(InputRows in, ReadInput(q, inner, &scratch));
+        stats_.rows_scanned += static_cast<int64_t>(in.rows.size());
+        for (const Row& row : in.rows) {
           inner.Bind(q->id, &row);
           bool keep = true;
           for (const Expr* f : step.filters) {
@@ -654,7 +670,7 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
           // at the end of the step. Cached results outlive the box, so
           // only a per-binding result's rows are actually copied.
           const Row* kept = &row;
-          if (t == &scratch) {
+          if (in.table == &scratch) {
             arena.push_back(row);
             kept = &arena.back();
           }
@@ -670,18 +686,17 @@ Result<Table> Executor::ComputeSelect(Box* box, const RowEnv& env) {
       }
     } else {
       Table scratch;
-      SM_ASSIGN_OR_RETURN(const Table* t, EvalBox(q->input, box_env, &scratch));
-      if (t == &scratch) {
+      SM_ASSIGN_OR_RETURN(InputRows in, ReadInput(q, box_env, &scratch));
+      if (in.table == &scratch) {
         // Non-memoized storage would not outlive this step; keep the table
         // alive with the box's join state (moving it keeps its rows where
-        // they are) and charge it as arena rows.
+        // they are, so `in.rows` stays valid) and charge it as arena rows.
         int64_t sb = TableBytes(scratch);
         arena_bytes += sb;
         SM_RETURN_IF_ERROR(gov->Reserve(sb));
         kept_inputs.push_back(std::move(scratch));
-        t = &kept_inputs.back();
       }
-      const std::vector<Row>& input_rows = t->rows();
+      const std::span<const Row> input_rows = in.rows;
       stats_.rows_scanned += static_cast<int64_t>(input_rows.size());
 
       if (!step.hash_columns.empty()) {
@@ -1020,13 +1035,13 @@ Result<Table> Executor::ComputeGroupBy(Box* box, const RowEnv& env) {
 
 Result<Table> Executor::ComputeSetOp(Box* box, const RowEnv& env) {
   std::vector<Table> scratches(box->quantifiers().size());
-  std::vector<const Table*> inputs;
+  std::vector<std::span<const Row>> inputs;
   for (size_t i = 0; i < box->quantifiers().size(); ++i) {
     SM_ASSIGN_OR_RETURN(
-        const Table* t,
-        EvalBox(box->quantifiers()[i]->input, env, &scratches[i]));
-    stats_.rows_scanned += t->num_rows();
-    inputs.push_back(t);
+        InputRows in,
+        ReadInput(box->quantifiers()[i].get(), env, &scratches[i]));
+    stats_.rows_scanned += static_cast<int64_t>(in.rows.size());
+    inputs.push_back(in.rows);
   }
   Table out(box->label(), Schema{});
   switch (box->set_op()) {
@@ -1036,24 +1051,24 @@ Result<Table> Executor::ComputeSetOp(Box* box, const RowEnv& env) {
         // in the output.
         std::vector<Row>& rows = out.mutable_rows();
         RowPositionSet seen(&rows);
-        for (const Table* t : inputs) {
-          for (const Row& row : t->rows()) {
+        for (std::span<const Row> input : inputs) {
+          for (const Row& row : input) {
             rows.push_back(row);
             if (!seen.Insert(rows.size() - 1)) rows.pop_back();
           }
         }
       } else {
-        for (const Table* t : inputs) {
-          for (const Row& row : t->rows()) out.AppendUnchecked(row);
+        for (std::span<const Row> input : inputs) {
+          for (const Row& row : input) out.AppendUnchecked(row);
         }
       }
       break;
     }
     case SetOpKind::kIntersect: {
       std::unordered_map<Row, int, RowHash, RowEq> counts;
-      for (const Row& row : inputs[0]->rows()) counts.emplace(row, 1);
+      for (const Row& row : inputs[0]) counts.emplace(row, 1);
       for (size_t i = 1; i < inputs.size(); ++i) {
-        for (const Row& row : inputs[i]->rows()) {
+        for (const Row& row : inputs[i]) {
           auto it = counts.find(row);
           if (it != counts.end() && it->second == static_cast<int>(i)) {
             it->second = static_cast<int>(i) + 1;
@@ -1068,10 +1083,10 @@ Result<Table> Executor::ComputeSetOp(Box* box, const RowEnv& env) {
     case SetOpKind::kExcept: {
       std::unordered_map<Row, bool, RowHash, RowEq> removed;
       for (size_t i = 1; i < inputs.size(); ++i) {
-        for (const Row& row : inputs[i]->rows()) removed.emplace(row, true);
+        for (const Row& row : inputs[i]) removed.emplace(row, true);
       }
       std::unordered_map<Row, bool, RowHash, RowEq> emitted;
-      for (const Row& row : inputs[0]->rows()) {
+      for (const Row& row : inputs[0]) {
         if (removed.count(row)) continue;
         if (emitted.emplace(row, true).second) out.AppendUnchecked(row);
       }
@@ -1103,7 +1118,7 @@ Result<Table> Executor::ComputeCustom(Box* box, const RowEnv& env) {
 }
 
 // ---------------------------------------------------------------------------
-// Recursive components: stratified fixpoint
+// Recursive components: stratified semi-naive fixpoint
 // ---------------------------------------------------------------------------
 
 Status Executor::EnsureSccEvaluated(int scc_id) {
@@ -1121,6 +1136,10 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     if (b->kind() == BoxKind::kSetOp && b->set_op() != SetOpKind::kUnion) {
       return Status::NotSupported(
           "EXCEPT/INTERSECT through recursion is not stratified");
+    }
+    if (b->kind() == BoxKind::kCustom) {
+      return Status::NotSupported(
+          "custom operations through recursion are not supported");
     }
     if (b->kind() == BoxKind::kSetOp && !b->enforce_distinct()) {
       return Status::NotSupported(
@@ -1144,34 +1163,113 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
                           "exec");
   fixpoint_span.SetAttribute("members", static_cast<int64_t>(members.size()));
 
-  // Naive fixpoint: iterate until every member's row count is stable. All
-  // operations inside an SCC are monotone (joins and distinct unions), so
-  // stable counts imply stable contents.
+  // Semi-naive fixpoint. Joins and distinct unions are monotone, so each
+  // member's relation only grows: it is kept append-only, and every
+  // evaluation reads, of each input inside the SCC, only what it needs of
+  // the rows added since the member's previous evaluation.
   std::map<int, Table> state;
   for (int bid : members) {
     state.emplace(bid, Table(graph_->GetBox(bid)->label(), Schema{}));
   }
+  struct Member {
+    Box* box;
+    std::vector<Row>* rows;  // the member's relation in `state`
+    // The quantifiers whose reads are windowed, in box order: every input
+    // of a union, the ForEach quantifiers over members of a select box.
+    std::vector<Quantifier*> inputs;
+    // How many rows of each input earlier evaluations consumed.
+    std::vector<size_t> consumed;
+    // For a distinct member: the rows its relation holds already.
+    std::optional<RowPositionSet> seen;
+  };
+  std::vector<Member> ordered;
+  ordered.reserve(members.size());
+  for (int bid : members) {
+    Box* b = graph_->GetBox(bid);
+    Member m{b, &state.at(bid).mutable_rows(), {}, {}, std::nullopt};
+    for (const auto& q : b->quantifiers()) {
+      if (b->kind() == BoxKind::kSetOp ||
+          (q->input != nullptr && state.count(q->input->id()))) {
+        m.inputs.push_back(q.get());
+      }
+    }
+    m.consumed.assign(m.inputs.size(), 0);
+    if (b->enforce_distinct()) m.seen.emplace(m.rows);
+    ordered.push_back(std::move(m));
+  }
+  // Gauss–Seidel: members run in box-id order, each reading what the
+  // members before it appended in the same round.
+  std::sort(ordered.begin(), ordered.end(),
+            [](const Member& a, const Member& b) {
+              return a.box->id() < b.box->id();
+            });
+
   RowEnv env(num_slots_);
-  // Restores the enclosing SCC's in-progress state on every exit path.
+  // Restores the enclosing SCC's in-progress state, and whole-input reads
+  // for this SCC's quantifiers, on every exit path.
   struct InProgressScope {
     Executor* self;
+    const std::vector<Member>* ordered;
     const std::map<int, Table>* prev_state;
     int prev_id;
     ~InProgressScope() {
       self->scc_in_progress_ = prev_state;
       self->scc_in_progress_id_ = prev_id;
+      for (const Member& m : *ordered) {
+        for (const Quantifier* q : m.inputs) {
+          self->windows_[static_cast<size_t>(q->id)] = kWholeInput;
+        }
+      }
     }
-  } in_progress{this, scc_in_progress_, scc_in_progress_id_};
+  } in_progress{this, &ordered, scc_in_progress_, scc_in_progress_id_};
   scc_in_progress_ = &state;
   scc_in_progress_id_ = scc_id;
 
-  bool changed = true;
-  int64_t rounds = 0;
-  std::vector<int> ordered = members;
-  std::sort(ordered.begin(), ordered.end());
   ResourceGovernor* const gov = options_.governor;
-  while (changed) {
-    changed = false;
+  int64_t appended = 0;  // rows the current round appended, all members
+  // Evaluates `m` under the windows set for its inputs and appends what it
+  // derived: every row for a bag member, the new ones for a distinct one.
+  auto derive = [&](Member& m) -> Status {
+    SM_ASSIGN_OR_RETURN(Table delta, ComputeBox(m.box, env));
+    // The delta is in flight while the relation grows by its new rows:
+    // reserve both, then release the delta (reserve-then-release, so the
+    // transient double count is what a real copy would occupy). The
+    // relation's charge survives convergence — the state tables move into
+    // the box-result cache below.
+    const int64_t delta_bytes = TableBytes(delta);
+    SM_RETURN_IF_ERROR(gov->Reserve(delta_bytes));
+    const size_t before = m.rows->size();
+    int64_t gained_bytes = 0;
+    for (Row& row : delta.mutable_rows()) {
+      m.rows->push_back(std::move(row));
+      if (m.seen && !m.seen->Insert(m.rows->size() - 1)) {
+        m.rows->pop_back();
+        continue;
+      }
+      gained_bytes += RowBytes(m.rows->back());
+    }
+    SM_RETURN_IF_ERROR(gov->Reserve(gained_bytes));
+    gov->Release(delta_bytes);
+    appended += static_cast<int64_t>(m.rows->size() - before);
+    return Status::OK();
+  };
+  // What each input of `m` holds now: a member's current row count, or
+  // everything for a union input from outside the SCC (never changes, so
+  // it is read once).
+  auto available = [&state](const Member& m) {
+    std::vector<size_t> sizes;
+    sizes.reserve(m.inputs.size());
+    for (const Quantifier* q : m.inputs) {
+      auto it = state.find(q->input->id());
+      sizes.push_back(it == state.end() ? SIZE_MAX : it->second.num_rows());
+    }
+    return sizes;
+  };
+
+  int64_t rounds = 0;
+  std::string deltas;  // rows appended per round, for the span
+  do {
+    appended = 0;
     ++rounds;
     ++stats_.fixpoint_iterations;
     if (options_.progress != nullptr) {
@@ -1182,27 +1280,53 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     // what ends a recursion that never converges.
     SM_RETURN_IF_ERROR(gov->CheckPoint());
     SM_RETURN_IF_ERROR(gov->CheckFixpointIteration(stats_.fixpoint_iterations));
-    for (int bid : ordered) {
-      SM_ASSIGN_OR_RETURN(Table next, ComputeBox(graph_->GetBox(bid), env));
-      if (next.num_rows() != state.at(bid).num_rows()) changed = true;
-      // Swap the member's relation charge: new total in, old total out
-      // (reserve-then-release so the transient double-count is what a real
-      // copy would occupy). The charge survives convergence — the state
-      // tables move into the box-result cache below.
-      SM_RETURN_IF_ERROR(gov->Reserve(TableBytes(next)));
-      gov->Release(TableBytes(state.at(bid)));
-      state.at(bid) = std::move(next);
+    for (Member& m : ordered) {
+      const std::vector<size_t> sizes = available(m);
+      if (m.box->kind() == BoxKind::kSetOp) {
+        // A union is linear in each input: one evaluation reads every
+        // input's new rows.
+        bool fresh = false;
+        for (size_t i = 0; i < m.inputs.size(); ++i) {
+          windows_[static_cast<size_t>(m.inputs[i]->id)] = {m.consumed[i],
+                                                            sizes[i]};
+          fresh = fresh || sizes[i] > m.consumed[i];
+        }
+        if (fresh) SM_RETURN_IF_ERROR(derive(m));
+      } else {
+        // A join runs once per input with new rows: that input reads its
+        // new rows, the inputs before it their old rows and the inputs
+        // after it all their rows, so each combination of input rows is
+        // derived exactly once over the whole fixpoint.
+        for (size_t i = 0; i < m.inputs.size(); ++i) {
+          if (sizes[i] == m.consumed[i]) continue;
+          for (size_t j = 0; j < m.inputs.size(); ++j) {
+            windows_[static_cast<size_t>(m.inputs[j]->id)] =
+                j < i    ? Window{0, m.consumed[j]}
+                : j == i ? Window{m.consumed[i], sizes[i]}
+                         : Window{0, sizes[j]};
+          }
+          SM_RETURN_IF_ERROR(derive(m));
+        }
+      }
+      m.consumed = sizes;
     }
-  }
-  for (int bid : ordered) {
-    // The per-round reserve/release swaps above left exactly the final
-    // relation's bytes charged; the table now joins the box-result cache,
-    // so record that residual for the destructor's single release.
-    cache_charged_bytes_ += TableBytes(state.at(bid));
-    cache_.emplace(bid, std::move(state.at(bid)));
+    if (fixpoint_span.span_id() >= 0) {
+      deltas += StrCat(deltas.empty() ? "" : ",", appended);
+    }
+  } while (appended > 0);
+
+  for (Member& m : ordered) {
+    // The appends above left exactly the final relation's bytes charged;
+    // the table now joins the box-result cache, so record that residual
+    // for the destructor's single release.
+    m.seen.reset();
+    Table& relation = state.at(m.box->id());
+    cache_charged_bytes_ += TableBytes(relation);
+    cache_.emplace(m.box->id(), std::move(relation));
   }
   scc_done_.insert(scc_id);
   fixpoint_span.SetAttribute("iterations", rounds);
+  fixpoint_span.SetAttribute("deltas", deltas);
   return Status::OK();
 }
 

@@ -1,13 +1,17 @@
 #ifndef STARMAGIC_EXEC_EXECUTOR_H_
 #define STARMAGIC_EXEC_EXECUTOR_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "exec/eval.h"
@@ -100,7 +104,7 @@ struct ExecStats {
 /// is set (EXPLAIN ANALYZE). `wall_ms` and `probes` are inclusive of child
 /// box evaluations performed during this box's evaluation; `rows_out` sums
 /// across all evaluations of the box (one per correlated binding, one per
-/// fixpoint iteration), so summing rows_out over all computed boxes
+/// fixpoint delta evaluation), so summing rows_out over all computed boxes
 /// (Executor::box_stats) reproduces ExecStats::rows_produced exactly.
 ///
 /// Base tables are read, not computed, so their entries live apart
@@ -118,7 +122,7 @@ struct BoxExecStats {
 /// Evaluates a QGM query graph bottom-up with materialized intermediate
 /// results: hash joins over ForEach quantifiers, semi/anti evaluation for
 /// E/A quantifiers, per-binding evaluation for correlated boxes, and
-/// fixpoint iteration for recursive components.
+/// semi-naive fixpoint iteration for recursive components.
 class Executor {
  public:
   Executor(QueryGraph* graph, const Catalog* catalog, ExecOptions options);
@@ -177,6 +181,20 @@ class Executor {
   Result<Table> ComputeSetOp(Box* box, const RowEnv& env);
   Result<Table> ComputeCustom(Box* box, const RowEnv& env);
 
+  /// What a select or set-op evaluation reads of quantifier `q`'s input:
+  /// the table EvalBox returns, and the rows of it that `q` consumes — all
+  /// of them, except for an in-SCC quantifier during a semi-naive round,
+  /// which reads the window EnsureSccEvaluated assigned it.
+  struct InputRows {
+    const Table* table;
+    std::span<const Row> rows;
+  };
+  Result<InputRows> ReadInput(Quantifier* q, const RowEnv& env,
+                              Table* scratch);
+
+  /// Evaluates recursive component `scc_id` to its least fixpoint by
+  /// semi-naive (delta) iteration and moves each member's relation into
+  /// the box-result cache.
   Status EnsureSccEvaluated(int scc_id);
 
   /// The correlation signature of `box` (qgm ExternalRefs), memoized: a
@@ -253,6 +271,14 @@ class Executor {
   std::set<int> scc_done_;
   const std::map<int, Table>* scc_in_progress_ = nullptr;
   int scc_in_progress_id_ = -1;
+  /// The rows [first, second) of its input that each quantifier reads,
+  /// indexed by quantifier id (bounds past the input's end are clamped):
+  /// whole inputs, except for the quantifiers of recursive members, which
+  /// EnsureSccEvaluated points at the rows each evaluation consumes. Empty
+  /// when the graph has no recursion.
+  using Window = std::pair<size_t, size_t>;
+  static constexpr Window kWholeInput{0, SIZE_MAX};
+  std::vector<Window> windows_;
 };
 
 }  // namespace starmagic
