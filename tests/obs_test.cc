@@ -764,6 +764,46 @@ TEST_F(ObsQueryTest, RecursiveExplainAnalyzeRowsReconcile) {
   EXPECT_EQ(result->result_rows, 5);  // 1->2,3,4,5,6
 }
 
+TEST_F(ObsQueryTest, FixpointSpanReportsRowsAppendedPerRound) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE edge (src INTEGER, dst INTEGER);
+    INSERT INTO edge VALUES (1,2),(2,3),(3,4),(4,5),(5,6),(2,6),(7,8);
+    CREATE RECURSIVE VIEW tc (src, dst) AS
+      SELECT src, dst FROM edge UNION
+      SELECT t.src, e.dst FROM tc t, edge e WHERE t.dst = e.src;
+    ANALYZE;
+  )sql").ok());
+  Tracer tracer(true);
+  QueryOptions options(ExecutionStrategy::kOriginal);
+  options.tracer = &tracer;
+  auto result = db.Query("SELECT src, dst FROM tc", options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->result_rows, 16);
+
+  const SpanRecord* fixpoint = nullptr;
+  for (const SpanRecord& span : tracer.spans()) {
+    if (span.name.rfind("fixpoint scc ", 0) == 0) fixpoint = &span;
+  }
+  ASSERT_NE(fixpoint, nullptr);
+  const TraceValue* members = fixpoint->FindAttribute("members");
+  const TraceValue* iterations = fixpoint->FindAttribute("iterations");
+  const TraceValue* deltas = fixpoint->FindAttribute("deltas");
+  ASSERT_NE(members, nullptr);
+  ASSERT_NE(iterations, nullptr);
+  ASSERT_NE(deltas, nullptr);
+  EXPECT_EQ(members->i, 2);  // the union and its recursive branch
+  EXPECT_EQ(iterations->i, result->exec_stats.fixpoint_iterations);
+  // Round 1: the union takes the 7 edges, the join derives the 5 two-hop
+  // paths from them. Each later round reads only the previous one's new
+  // rows: 5 new union rows and 3 derived, then 3 and 2, then 1 and 1
+  // (the derived (2,6) and (1,6) are edges or paths already, so the
+  // union drops them), then nothing.
+  ASSERT_EQ(deltas->kind, TraceValue::Kind::kString);
+  EXPECT_EQ(deltas->str, "12,8,5,2,0");
+  EXPECT_EQ(iterations->i, 5);
+}
+
 TEST_F(ObsQueryTest, ExplainAnalyzeRecordsBaseTableScansAndProbes) {
   Database db;
   Populate(&db);
