@@ -357,19 +357,37 @@ QueryGraph::StrataInfo QueryGraph::ComputeStrata() const {
 
 Status QueryGraph::Validate() const {
   if (top_ == nullptr) return Status::Internal("graph has no top box");
-  std::set<int> live_box_ids;
-  for (const auto& b : boxes_) live_box_ids.insert(b->id());
-  std::set<int> all_qids;
+  // Box and quantifier ids are small non-negative integers handed out by
+  // this graph, so each membership test reads a flag indexed by id: one
+  // allocation per kind, not one node per id.
+  int box_bound = 0;
+  int qid_bound = 0;
+  for (const auto& b : boxes_) {
+    box_bound = std::max(box_bound, b->id() + 1);
+    for (const auto& q : b->quantifiers()) {
+      qid_bound = std::max(qid_bound, q->id + 1);
+    }
+  }
+  std::vector<bool> live_box(static_cast<size_t>(box_bound));
+  for (const auto& b : boxes_) live_box[static_cast<size_t>(b->id())] = true;
+  std::vector<bool> known_qid(static_cast<size_t>(qid_bound));
+  auto is_known_qid = [&](int qid) {
+    return qid >= 0 && qid < qid_bound && known_qid[static_cast<size_t>(qid)];
+  };
   for (const auto& b : boxes_) {
     for (const auto& q : b->quantifiers()) {
-      if (!all_qids.insert(q->id).second) {
+      if (is_known_qid(q->id)) {
         return Status::Internal(StrCat("duplicate quantifier id q", q->id));
       }
+      // A negative id (never handed out) fails the owner check below.
+      if (q->id >= 0) known_qid[static_cast<size_t>(q->id)] = true;
       if (q->input == nullptr) {
         return Status::Internal(
             StrCat("q", q->id, " in ", b->DebugId(), " has null input"));
       }
-      if (!live_box_ids.count(q->input->id())) {
+      const int input_id = q->input->id();
+      if (input_id < 0 || input_id >= box_bound ||
+          !live_box[static_cast<size_t>(input_id)]) {
         return Status::Internal(StrCat("q", q->id, " references dead box"));
       }
       Box* owner = OwnerOf(q->id);
@@ -386,7 +404,7 @@ Status QueryGraph::Validate() const {
       const Expr* unknown = nullptr;
       e.Visit([&](const Expr& node) {
         if (unknown == nullptr && node.kind == ExprKind::kColumnRef &&
-            !all_qids.count(node.quantifier_id)) {
+            !is_known_qid(node.quantifier_id)) {
           unknown = &node;
         }
       });

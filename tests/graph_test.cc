@@ -58,6 +58,44 @@ TEST(GraphTest, ValidateCatchesDanglingReference) {
   EXPECT_FALSE(s.g.Validate().ok());
 }
 
+TEST(GraphTest, ValidateMessagesNameTheFault) {
+  {
+    SmallGraph s;
+    s.query->AddPredicate(Expr::MakeBinary(BinaryOp::kEq,
+                                           Expr::MakeColumnRef(999, 0),
+                                           Expr::MakeLiteral(Value::Int(1))));
+    EXPECT_EQ(s.g.Validate().ToString(),
+              "Internal: predicate in B3:SELECT(QUERY) references unknown "
+              "q999: q999.c0 = 1");
+  }
+  {
+    SmallGraph s;
+    s.view->AddOutput("z", Expr::MakeColumnRef(-4, 0));
+    EXPECT_EQ(s.g.Validate().ToString(),
+              "Internal: output in B2:SELECT(V) references unknown q-4: "
+              "q-4.c0");
+  }
+  {
+    SmallGraph s;
+    s.qq_v->id = s.qv_t->id;
+    EXPECT_EQ(s.g.Validate().ToString(),
+              "Internal: duplicate quantifier id q1");
+  }
+  {
+    SmallGraph s;
+    s.qq_v->input = nullptr;
+    EXPECT_EQ(s.g.Validate().ToString(),
+              "Internal: q2 in B3:SELECT(QUERY) has null input");
+  }
+  {
+    SmallGraph s;
+    Box dead(99, BoxKind::kSelect, "DEAD");
+    s.qq_v->input = &dead;
+    EXPECT_EQ(s.g.Validate().ToString(),
+              "Internal: q2 references dead box");
+  }
+}
+
 TEST(GraphTest, GarbageCollectRemovesUnreachable) {
   SmallGraph s;
   Box* orphan = s.g.NewBox(BoxKind::kSelect, "ORPHAN");
