@@ -1319,7 +1319,6 @@ Status Executor::EnsureSccEvaluated(int scc_id) {
     // The appends above left exactly the final relation's bytes charged;
     // the table now joins the box-result cache, so record that residual
     // for the destructor's single release.
-    m.seen.reset();
     Table& relation = state.at(m.box->id());
     cache_charged_bytes_ += TableBytes(relation);
     cache_.emplace(m.box->id(), std::move(relation));
