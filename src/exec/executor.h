@@ -183,8 +183,8 @@ class Executor {
 
   /// What a select or set-op evaluation reads of quantifier `q`'s input:
   /// the table EvalBox returns, and the rows of it that `q` consumes — all
-  /// of them, except for an in-SCC quantifier during a semi-naive round,
-  /// which reads the window EnsureSccEvaluated assigned it.
+  /// of them, except for a windowed quantifier of a recursive member
+  /// (windows_), which reads the rows EnsureSccEvaluated assigned it.
   struct InputRows {
     const Table* table;
     std::span<const Row> rows;
