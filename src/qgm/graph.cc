@@ -379,7 +379,7 @@ Status QueryGraph::Validate() const {
       if (is_known_qid(q->id)) {
         return Status::Internal(StrCat("duplicate quantifier id q", q->id));
       }
-      // A negative id (never handed out) fails the owner check below.
+      // A negative id (never handed out) fails one of the checks below.
       if (q->id >= 0) known_qid[static_cast<size_t>(q->id)] = true;
       if (q->input == nullptr) {
         return Status::Internal(
